@@ -444,6 +444,30 @@ impl FaultPlan {
         })
     }
 
+    /// Whether link traversals may lose words at all; when false,
+    /// [`drops_word`](Self::drops_word) is false everywhere.
+    #[must_use]
+    pub fn drops_words(&self) -> bool {
+        self.link_drop_prob > 0.0
+    }
+
+    /// Every switch output `(dir, stage, switch, port)` named by a stuck
+    /// or slowed fault, possibly with repeats. [`output_blocked`] is
+    /// false at all other outputs, so a stepper may precompute a mask
+    /// from this list and consult the plan only at these outputs.
+    ///
+    /// [`output_blocked`]: Self::output_blocked
+    pub fn faulted_outputs(
+        &self,
+    ) -> impl Iterator<Item = (NetDirection, usize, usize, usize)> + '_ {
+        let stuck = self
+            .stuck
+            .iter()
+            .map(|s| (s.dir, s.stage, s.switch, s.port));
+        let slow = self.slow.iter().map(|s| (s.dir, s.stage, s.switch, s.port));
+        stuck.chain(slow)
+    }
+
     /// Whether the link traversal of a single-word packet identified by
     /// `packet_id` over output `(stage, switch, port)` at `cycle` loses
     /// the word. Pure hash of the event identity: retries at later
@@ -476,6 +500,43 @@ impl FaultPlan {
         self.stalls
             .iter()
             .any(|s| s.module == module && phase >= s.from && phase < s.until)
+    }
+
+    /// The first cycle at or after `cycle` at which `module` is not
+    /// stalled, or `None` when its stall windows cover every phase of
+    /// the repeating horizon (it never serves again).
+    #[must_use]
+    pub fn module_stall_end(&self, module: usize, cycle: u64) -> Option<u64> {
+        let mut c = cycle;
+        loop {
+            let phase = c % WINDOW_HORIZON;
+            // Windows repeat modulo the horizon and cover phases
+            // `from..min(until, horizon)`; jump past the furthest one
+            // covering `c`.
+            let Some(end) = self
+                .stalls
+                .iter()
+                .filter(|s| s.module == module && phase >= s.from && phase < s.until)
+                .map(|s| s.until.min(WINDOW_HORIZON))
+                .max()
+            else {
+                return Some(c);
+            };
+            c += end - phase;
+            if c - cycle >= WINDOW_HORIZON {
+                return None;
+            }
+        }
+    }
+
+    /// The cycle `module` fail-stops at, if it ever does.
+    #[must_use]
+    pub fn module_fail_cycle(&self, module: usize) -> Option<u64> {
+        self.failed
+            .iter()
+            .filter(|&&(m, _)| m == module)
+            .map(|&(_, at)| at)
+            .min()
     }
 
     /// Whether `module` has fail-stopped at or before `cycle` —
@@ -724,6 +785,83 @@ mod tests {
             assert!(!plan.module_failed(0, cycle));
             assert!(!plan.sync_update_lost(0, 0, cycle));
         }
+    }
+
+    /// The precomputed-mask contract: outside `faulted_outputs`, no
+    /// output is ever blocked.
+    #[test]
+    fn output_blocked_only_at_faulted_outputs() {
+        let plan = FaultPlan::generate(&FaultConfig::degraded(11, 0.01), &shape()).unwrap();
+        let faulted: Vec<_> = plan.faulted_outputs().collect();
+        assert_eq!(faulted.len(), 4, "two stuck plus two slowed outputs");
+        let s = shape();
+        for dir in [NetDirection::Forward, NetDirection::Reverse] {
+            for stage in 0..s.stages {
+                for switch in 0..s.switches_per_stage() {
+                    for port in 0..s.radix {
+                        if faulted.contains(&(dir, stage, switch, port)) {
+                            continue;
+                        }
+                        for cycle in (0..WINDOW_HORIZON).step_by(97) {
+                            assert!(!plan.output_blocked(dir, stage, switch, port, cycle));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `module_stall_end` agrees with a cycle-by-cycle scan of
+    /// `module_stalled`, including across the horizon wrap and for
+    /// overlapping windows.
+    #[test]
+    fn stall_end_matches_cycle_scan() {
+        let mut plan = FaultPlan::generate(&FaultConfig::none(1), &shape()).unwrap();
+        plan.stalls = vec![
+            ModuleStall {
+                module: 3,
+                from: 100,
+                until: 300,
+            },
+            ModuleStall {
+                module: 3,
+                from: 250,
+                until: 400,
+            },
+            ModuleStall {
+                module: 3,
+                from: WINDOW_HORIZON - 50,
+                until: WINDOW_HORIZON + 50,
+            },
+            ModuleStall {
+                module: 4,
+                from: 0,
+                until: WINDOW_HORIZON,
+            },
+        ];
+        let scan = |module: usize, cycle: u64| {
+            (cycle..cycle + WINDOW_HORIZON).find(|&c| !plan.module_stalled(module, c))
+        };
+        for cycle in [
+            0,
+            99,
+            100,
+            260,
+            399,
+            400,
+            WINDOW_HORIZON - 60,
+            WINDOW_HORIZON - 1,
+        ] {
+            for module in [3, 5] {
+                assert_eq!(
+                    plan.module_stall_end(module, cycle),
+                    scan(module, cycle),
+                    "module {module} at {cycle}"
+                );
+            }
+        }
+        assert_eq!(plan.module_stall_end(4, 7), None, "stalled at every phase");
+        assert_eq!(plan.module_fail_cycle(3), None);
     }
 
     #[test]

@@ -368,6 +368,19 @@ impl CeSource {
     fn local_request_count(&self) -> u64 {
         u64::from(self.traffic.blocks) * u64::from(self.traffic.block_len)
     }
+
+    /// Whether the source can do nothing at any CE boundary until one
+    /// of its requests resolves (a reply, or an abandonment): it has
+    /// finished issuing, its window is full, or it waits at a block
+    /// boundary for an earlier block to drain with no store owed.
+    /// `issue_requests` skips a parked source without touching it.
+    fn parked(&self) -> bool {
+        self.done_issuing
+            || self.outstanding >= self.traffic.window
+            || (self.next_index == 0
+                && self.next_block >= self.completed_blocks + self.traffic.blocks_in_flight
+                && self.write_debt < 1.0)
+    }
 }
 
 /// The assembled round-trip fabric.
@@ -443,6 +456,45 @@ struct RecoveryState {
     retries: u64,
     /// Requests abandoned after the retry budget ran out.
     failed_requests: u64,
+}
+
+impl RecoveryState {
+    /// Starts recovery book-keeping for a newly issued read: pending
+    /// on its first attempt, with a retry timer due at `due`. Out of
+    /// line, like [`resolve`](Self::resolve), to keep the map code out
+    /// of the issue and eject loops of healthy runs.
+    #[inline(never)]
+    fn track(&mut self, packet: Packet, due: u64) {
+        self.pending.insert(
+            packet.id.0,
+            InFlight {
+                packet,
+                attempts: 1,
+            },
+        );
+        self.timers.push(Reverse((due, packet.id.0)));
+    }
+
+    /// Resolves request `id` on its reply's arrival. The pending map is
+    /// the dedup authority: `false` means the request already completed
+    /// or was abandoned, so this reply is a duplicate to discard.
+    #[inline(never)]
+    fn resolve(&mut self, id: u64) -> bool {
+        self.pending.remove(&id).is_some()
+    }
+
+    /// The due cycle of the earliest timer whose request is still
+    /// unresolved. Timers of resolved requests ahead of it are popped:
+    /// `fire_retries` would discard them unread whenever they came due.
+    fn next_live_timer(&mut self) -> Option<u64> {
+        while let Some(&Reverse((due, id))) = self.timers.peek() {
+            if self.pending.contains_key(&id) {
+                return Some(due);
+            }
+            self.timers.pop();
+        }
+        None
+    }
 }
 
 /// An in-progress prefetch experiment: the per-CE traffic sources and
@@ -866,30 +918,23 @@ impl RoundTripFabric {
 
     /// Jumps the clocks over a provably dead stretch: when no word is
     /// buffered in either network, no module holds queued, in-service
-    /// or blocked-outgoing work, no partially received packet exists
-    /// and no request awaits recovery, the only possible next event is
-    /// a source issuing on a CE boundary it is not gap-blocked for.
-    /// Every cycle before the earliest such boundary is a pure clock
-    /// tick (idle switches mutate nothing, not even arbitration
-    /// pointers), so the simulation lands on the same state serial
-    /// stepping would reach — just without burning a loop iteration
-    /// per empty cycle. Gap-heavy traffic (`gap_ce_cycles` of
-    /// non-overlapped computation between blocks) is where this pays.
+    /// or blocked-outgoing work and no partially received packet
+    /// exists, the only possible next events are a source issuing on a
+    /// CE boundary and a retry timer firing. Every cycle before the
+    /// earliest of those is a pure clock tick (idle switches mutate
+    /// nothing, not even arbitration pointers; fault windows and
+    /// module stalls have nothing to act on), so the simulation lands
+    /// on the same state serial stepping would reach — just without
+    /// burning a loop iteration per empty cycle. Gap-heavy traffic
+    /// (`gap_ce_cycles` of non-overlapped computation between blocks)
+    /// and the retry timeouts of a degraded run, thousands of cycles in
+    /// which a lost word's source waits, are where this pays.
     ///
-    /// `horizon` caps the jump at the cycle a cycle-by-cycle run's
-    /// watchdog would have tripped, so stall reports keep identical
-    /// timestamps.
-    fn idle_fast_forward(
-        &mut self,
-        sources: &[CeSource],
-        recovery: Option<&RecoveryState>,
-        ratio: u64,
-        max_net_cycles: u64,
-        horizon: Option<u64>,
-    ) {
-        if recovery.is_some_and(|rec| !rec.pending.is_empty()) {
-            return;
-        }
+    /// Attached telemetry does not veto the skip: the networks record
+    /// the zero-occupancy samples of the skipped cycles, and nothing
+    /// else observes an idle cycle. See [`idle_target`](Self::idle_target)
+    /// for the jump target.
+    fn idle_fast_forward(&mut self, exp: &mut FabricExperiment, horizon: Option<u64>) {
         if !self.forward.is_idle() || !self.reverse.is_idle() {
             return;
         }
@@ -903,15 +948,7 @@ impl RoundTripFabric {
         if self.partial.iter().any(Option::is_some) {
             return;
         }
-        let next_boundary = (self.now / ratio + 1) * ratio;
-        let target = sources
-            .iter()
-            .filter(|s| !s.done_issuing)
-            .map(|s| next_boundary.max(s.blocked_until_ce * ratio))
-            .min()
-            .unwrap_or(max_net_cycles)
-            .min(max_net_cycles)
-            .min(horizon.unwrap_or(u64::MAX));
+        let target = self.idle_target(exp, horizon);
         // The loop is about to simulate cycle `now + 1`; stop one
         // short so the first cycle anything can happen in runs live.
         if target <= self.now + 1 {
@@ -922,6 +959,36 @@ impl RoundTripFabric {
         self.forward.skip_idle_cycles(skipped);
         self.reverse.skip_idle_cycles(skipped);
         self.ff_cycles += skipped;
+    }
+
+    /// The first cycle at which an idle fabric can change state, shared
+    /// by both engines so their `ff_cycles` (and hence checkpoints)
+    /// agree: the earliest CE boundary at which an unparked source is
+    /// not gap-blocked, capped by the earliest live retry timer,
+    /// `max_net_cycles`, and `horizon` — the cycle a cycle-by-cycle
+    /// run's watchdog would have tripped, so stall reports keep
+    /// identical timestamps. Parked sources (see [`CeSource::parked`])
+    /// wait for a reply or an abandonment, neither of which can come
+    /// before the next timer while the fabric is idle.
+    ///
+    /// Timers of requests that already resolved are popped first: they
+    /// fire as no-ops, and a skip must not stop at them.
+    fn idle_target(&self, exp: &mut FabricExperiment, horizon: Option<u64>) -> u64 {
+        let ratio = exp.ratio;
+        let next_boundary = (self.now / ratio + 1) * ratio;
+        let timer = exp
+            .recovery
+            .as_mut()
+            .and_then(RecoveryState::next_live_timer);
+        exp.sources
+            .iter()
+            .filter(|s| !s.parked())
+            .map(|s| next_boundary.max(s.blocked_until_ce * ratio))
+            .min()
+            .unwrap_or(exp.max_net_cycles)
+            .min(exp.max_net_cycles)
+            .min(timer.unwrap_or(u64::MAX))
+            .min(horizon.unwrap_or(u64::MAX))
     }
 
     /// Starts a prefetch experiment without running it. The returned
@@ -977,17 +1044,11 @@ impl RoundTripFabric {
         exp: &mut FabricExperiment,
         watchdog: Option<&mut Watchdog>,
     ) -> Result<(), CedarError> {
-        if self.fast_forward && self.obs.is_none() {
+        if self.fast_forward {
             let horizon = watchdog
                 .as_deref()
                 .map(|dog| dog.progress_cycle() + dog.budget() + 1);
-            self.idle_fast_forward(
-                &exp.sources,
-                exp.recovery.as_ref(),
-                exp.ratio,
-                exp.max_net_cycles,
-                horizon,
-            );
+            self.idle_fast_forward(exp, horizon);
         }
         self.now += 1;
         let ce_boundary = self.now.is_multiple_of(exp.ratio);
@@ -1005,7 +1066,9 @@ impl RoundTripFabric {
         self.forward.clear_delivered();
         self.reverse.clear_delivered();
         if let Some(rec) = exp.recovery.as_mut() {
-            self.fire_retries(rec, &mut exp.sources);
+            self.fire_retries(rec, &mut exp.sources, |fabric, packet| {
+                fabric.forward.try_inject(packet)
+            });
         }
         if ce_boundary {
             self.issue_requests(&mut exp.sources, ce_now, exp.recovery.as_mut());
@@ -1061,7 +1124,7 @@ impl RoundTripFabric {
         stop_at: Option<u64>,
     ) -> Result<(), CedarError> {
         if self.engine != EngineKind::Generic {
-            match self.specialization_blocker(exp) {
+            match self.specialization_blocker() {
                 None => {
                     self.last_run_engine = Some("specialized");
                     self.last_fallback = None;
@@ -1239,8 +1302,15 @@ impl RoundTripFabric {
     /// timer expires is re-injected (re-aimed at the fallback module
     /// if its target fail-stopped) with exponential backoff until the
     /// policy's attempt budget runs out, after which it is abandoned
-    /// and counted in `failed_requests`.
-    fn fire_retries(&mut self, rec: &mut RecoveryState, sources: &mut [CeSource]) {
+    /// and counted in `failed_requests`. `inject` offers a packet to
+    /// the forward network, which lets the specialized engine share
+    /// this policy with its SoA network.
+    fn fire_retries(
+        &mut self,
+        rec: &mut RecoveryState,
+        sources: &mut [CeSource],
+        mut inject: impl FnMut(&mut Self, Packet) -> bool,
+    ) {
         while let Some(&Reverse((due, id))) = rec.timers.peek() {
             if due > self.now {
                 break;
@@ -1266,7 +1336,7 @@ impl RoundTripFabric {
                     entry.packet = packet;
                 }
             }
-            if self.forward.try_inject(packet) {
+            if inject(self, packet) {
                 rec.retries += 1;
                 entry.attempts += 1;
                 let attempts = entry.attempts;
@@ -1418,9 +1488,8 @@ impl RoundTripFabric {
                 debug_assert_eq!(word.packet.kind, PacketKind::Reply);
                 if let Some(rec) = rec.as_deref_mut() {
                     // Under faults a reply may duplicate (original and
-                    // retry both survive) or arrive after abandonment;
-                    // the pending map is the dedup authority.
-                    if rec.pending.remove(&word.packet.id.0).is_none() {
+                    // retry both survive) or arrive after abandonment.
+                    if !rec.resolve(word.packet.id.0) {
                         continue;
                     }
                 }
@@ -1522,17 +1591,7 @@ impl RoundTripFabric {
                     self.trace_issue(packet.id.0);
                 }
                 if let Some(rec) = rec.as_deref_mut() {
-                    rec.pending.insert(
-                        packet.id.0,
-                        InFlight {
-                            packet,
-                            attempts: 1,
-                        },
-                    );
-                    rec.timers.push(Reverse((
-                        self.now + self.retry.base_delay_cycles,
-                        packet.id.0,
-                    )));
+                    rec.track(packet, self.now + self.retry.base_delay_cycles);
                 }
                 src.outstanding += 1;
                 src.write_debt += src.traffic.writes_per_read;
@@ -1927,9 +1986,11 @@ mod tests {
         assert_eq!(fast, slow, "fast-forward changed an observable");
     }
 
-    /// Same invariant on a degraded machine: recovery bookkeeping
-    /// (in-flight requests, retry timers) must veto or survive the
-    /// skip without shifting a single retry or abandonment.
+    /// Same invariant on a degraded machine: the skip must cross retry
+    /// timeouts without shifting a single retry or abandonment. Two
+    /// shapes: gap-heavy multi-block traffic, and a one-block burst at
+    /// a 5 % drop rate, whose lost words leave the fabric idle with
+    /// requests pending for most of each retry timeout.
     #[test]
     fn fast_forward_is_invisible_under_faults() {
         use cedar_faults::{FaultConfig, MachineShape};
@@ -1938,24 +1999,100 @@ mod tests {
             gap_ce_cycles: 64,
             ..small_traffic()
         };
-        let run = |fast_forward: bool| {
-            let plan =
-                FaultPlan::generate(&FaultConfig::degraded(0xCEDA, 0.02), &MachineShape::cedar())
-                    .expect("valid preset");
-            let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
-            fabric.attach_faults(plan, RetryPolicy::fabric());
-            fabric.set_fast_forward(fast_forward);
-            let mut dog = Watchdog::new(4_000_000, "fast-forward equivalence");
-            let report = fabric
-                .run_watched_experiment(4, gapped, 64_000_000, &mut dog)
-                .expect("run completes");
-            (report, fabric.fast_forwarded_cycles())
+        let burst = PrefetchTraffic::rk_aggressive(1);
+        for (traffic, n_ces, rate) in [(gapped, 4, 0.02), (burst, 2, 0.05)] {
+            let run = |fast_forward: bool| {
+                let plan = FaultPlan::generate(
+                    &FaultConfig::degraded(0xCEDA, rate),
+                    &MachineShape::cedar(),
+                )
+                .expect("valid preset");
+                let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
+                fabric.attach_faults(plan, RetryPolicy::fabric());
+                fabric.set_fast_forward(fast_forward);
+                let mut dog = Watchdog::new(4_000_000, "fast-forward equivalence");
+                let mut exp = fabric.begin_experiment(n_ces, traffic, 64_000_000);
+                // Stepped by hand to see when the skips happen.
+                let mut skipped_pending = 0;
+                while fabric.experiment_running(&exp) {
+                    let (before, pending) = (fabric.ff_cycles, exp.retry_in_flight());
+                    fabric.step_experiment(&mut exp, Some(&mut dog)).unwrap();
+                    if pending {
+                        skipped_pending += fabric.ff_cycles - before;
+                    }
+                }
+                (
+                    fabric.finish_experiment(exp),
+                    fabric.ff_cycles,
+                    skipped_pending,
+                )
+            };
+            let (fast, skipped, skipped_pending) = run(true);
+            let (slow, none_skipped, _) = run(false);
+            assert!(skipped > 0, "the skip never engaged under faults");
+            assert!(
+                skipped_pending > 0,
+                "no cycle was skipped while requests were pending"
+            );
+            assert_eq!(none_skipped, 0);
+            assert!(fast.retries() > 0, "no word was lost; the case is vacuous");
+            assert_eq!(fast, slow, "fast-forward changed a degraded observable");
+        }
+    }
+
+    /// Attached telemetry no longer vetoes the skip: the exported
+    /// trace and metrics — skipped cycles' zero-occupancy samples
+    /// included — are byte-identical with the skip on and off, on a
+    /// healthy gap-heavy run and on a degraded one.
+    #[test]
+    fn fast_forward_is_invisible_under_telemetry() {
+        use cedar_faults::{FaultConfig, MachineShape};
+        use cedar_obs::{Obs, ObsConfig};
+
+        let gapped = PrefetchTraffic {
+            gap_ce_cycles: 64,
+            ..small_traffic()
         };
-        let (fast, skipped) = run(true);
-        let (slow, none_skipped) = run(false);
-        assert!(skipped > 0, "the skip never engaged under faults");
-        assert_eq!(none_skipped, 0);
-        assert_eq!(fast, slow, "fast-forward changed a degraded observable");
+        for faulted in [false, true] {
+            let run = |fast_forward: bool| {
+                let obs = Obs::new(ObsConfig::enabled());
+                let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
+                if faulted {
+                    let plan = FaultPlan::generate(
+                        &FaultConfig::degraded(0xCEDA, 0.02),
+                        &MachineShape::cedar(),
+                    )
+                    .expect("valid preset");
+                    fabric.attach_faults(plan, RetryPolicy::fabric());
+                }
+                fabric.set_obs(&obs);
+                fabric.set_fast_forward(fast_forward);
+                let mut dog = Watchdog::new(4_000_000, "telemetry equivalence");
+                let report = fabric
+                    .run_watched_experiment(4, gapped, 64_000_000, &mut dog)
+                    .expect("run completes");
+                assert_eq!(fabric.last_run_engine(), Some("generic"));
+                (
+                    report,
+                    obs.chrome_trace(),
+                    obs.prometheus(),
+                    fabric.fast_forwarded_cycles(),
+                )
+            };
+            let (fast, fast_trace, fast_prom, skipped) = run(true);
+            let (slow, slow_trace, slow_prom, _) = run(false);
+            assert!(
+                skipped > 0,
+                "the skip never engaged with telemetry attached"
+            );
+            assert!(
+                fast_prom.contains("occupancy_words"),
+                "no occupancy histogram"
+            );
+            assert_eq!(fast, slow, "faulted {faulted}: report changed");
+            assert!(fast_trace == slow_trace, "faulted {faulted}: trace changed");
+            assert!(fast_prom == slow_prom, "faulted {faulted}: metrics changed");
+        }
     }
 
     /// Stepping an experiment manually is the same loop the packaged

@@ -86,7 +86,7 @@ pub struct OmegaNetwork {
     pub(crate) words_dropped: u64,
     /// Which direction this network plays in a fault plan; only
     /// consulted when `faults` is attached.
-    direction: NetDirection,
+    pub(crate) direction: NetDirection,
     /// Attached fault schedule. `None` (the default, and the result of
     /// attaching a benign plan) leaves every code path bit-identical
     /// to the healthy network.
@@ -329,6 +329,11 @@ impl OmegaNetwork {
         let radix = self.cfg.radix;
         for sw_idx in 0..self.topo.switches_per_stage() {
             for out_port in 0..radix {
+                // An empty output does nothing whatever its fault
+                // state, so the plan is consulted only behind a word.
+                let Some(&word) = self.stages[last][sw_idx].peek_output(out_port) else {
+                    continue;
+                };
                 let pos = match self.topo.next_hop(last, sw_idx, out_port) {
                     Hop::Output(p) => p,
                     Hop::Switch { .. } => unreachable!("last stage exits the network"),
@@ -336,9 +341,7 @@ impl OmegaNetwork {
                 if !self.output_open(last, sw_idx, out_port) {
                     if OBS {
                         if let Some(net_obs) = &self.obs {
-                            if self.stages[last][sw_idx].peek_output(out_port).is_some() {
-                                net_obs.obs.inc(net_obs.blocked[last]);
-                            }
+                            net_obs.obs.inc(net_obs.blocked[last]);
                         }
                     }
                     continue;
@@ -346,30 +349,23 @@ impl OmegaNetwork {
                 if self.exit_fifo[pos].len() >= self.cfg.exit_fifo_words {
                     if OBS {
                         if let Some(net_obs) = &self.obs {
-                            if self.stages[last][sw_idx].peek_output(out_port).is_some() {
-                                net_obs.obs.inc(net_obs.exit_blocked);
-                            }
+                            net_obs.obs.inc(net_obs.exit_blocked);
                         }
                     }
                     continue;
                 }
-                if let Some(&word) = self.stages[last][sw_idx].peek_output(out_port) {
-                    if self.link_eats(last, sw_idx, out_port, word) {
-                        let _ = self.stages[last][sw_idx].pop_output(out_port);
-                        self.words_dropped += 1;
-                        if OBS {
-                            if let Some(net_obs) = &self.obs {
-                                net_obs.obs.inc(net_obs.dropped);
-                            }
+                let _ = self.stages[last][sw_idx].pop_output(out_port);
+                if self.link_eats(last, sw_idx, out_port, word) {
+                    self.words_dropped += 1;
+                    if OBS {
+                        if let Some(net_obs) = &self.obs {
+                            net_obs.obs.inc(net_obs.dropped);
                         }
-                        continue;
                     }
-                    let word = self.stages[last][sw_idx]
-                        .pop_output(out_port)
-                        .expect("peeked word");
-                    self.exit_fifo[pos].push_back((word, self.now));
-                    self.words_exited += 1;
+                    continue;
                 }
+                self.exit_fifo[pos].push_back((word, self.now));
+                self.words_exited += 1;
             }
         }
     }
@@ -383,6 +379,9 @@ impl OmegaNetwork {
         for s in (0..self.cfg.stages - 1).rev() {
             for sw_idx in 0..self.topo.switches_per_stage() {
                 for out_port in 0..radix {
+                    let Some(&word) = self.stages[s][sw_idx].peek_output(out_port) else {
+                        continue;
+                    };
                     let Hop::Switch {
                         switch: next_sw,
                         input: next_in,
@@ -393,16 +392,11 @@ impl OmegaNetwork {
                     if !self.output_open(s, sw_idx, out_port) {
                         if OBS {
                             if let Some(net_obs) = &self.obs {
-                                if self.stages[s][sw_idx].peek_output(out_port).is_some() {
-                                    net_obs.obs.inc(net_obs.blocked[s]);
-                                }
+                                net_obs.obs.inc(net_obs.blocked[s]);
                             }
                         }
                         continue;
                     }
-                    let Some(&word) = self.stages[s][sw_idx].peek_output(out_port) else {
-                        continue;
-                    };
                     if !self.stages[s + 1][next_sw].can_accept(next_in) {
                         if OBS {
                             if let Some(net_obs) = &self.obs {
@@ -411,9 +405,7 @@ impl OmegaNetwork {
                         }
                         continue;
                     }
-                    let word_taken = self.stages[s][sw_idx]
-                        .pop_output(out_port)
-                        .expect("peeked word");
+                    let _ = self.stages[s][sw_idx].pop_output(out_port);
                     if self.link_eats(s, sw_idx, out_port, word) {
                         self.words_dropped += 1;
                         if OBS {
@@ -423,7 +415,7 @@ impl OmegaNetwork {
                         }
                         continue;
                     }
-                    let accepted = self.stages[s + 1][next_sw].try_accept(next_in, word_taken);
+                    let accepted = self.stages[s + 1][next_sw].try_accept(next_in, word);
                     debug_assert!(accepted, "can_accept said there was space");
                 }
             }
@@ -519,10 +511,19 @@ impl OmegaNetwork {
     /// idle cycle moves no word and leaves every arbitration pointer
     /// untouched, so it is a pure clock tick. The fabric's idle
     /// fast-forward uses this to keep the network clock (which stamps
-    /// exit times) in lockstep with its own after a skip.
+    /// exit times) in lockstep with its own after a skip. With
+    /// telemetry attached, each skipped cycle still contributes the
+    /// zero-occupancy sample per stage that
+    /// [`step`](Self::step) would have recorded, so the exported
+    /// histograms are identical to a cycle-by-cycle run.
     pub fn skip_idle_cycles(&mut self, cycles: u64) {
         debug_assert!(self.is_idle(), "skipping cycles with words in flight");
         self.now += cycles;
+        if let Some(net_obs) = &self.obs {
+            for &hist in &net_obs.occupancy {
+                net_obs.obs.record_repeated(hist, 0, cycles);
+            }
+        }
     }
 
     /// Whether any word is buffered anywhere in the network, the

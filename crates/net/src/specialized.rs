@@ -1,18 +1,18 @@
 //! The specialized cycle engine: topology-monomorphized stepping for
-//! the healthy, un-instrumented fabric.
+//! the un-instrumented fabric, healthy or degraded.
 //!
 //! The generic engine in [`fabric`](super) and [`network`](crate::network)
 //! is an interpreter: every cycle walks `Vec<VecDeque<Word>>` queues,
 //! `Option` locks and fault/telemetry hooks scattered across hundreds
-//! of small heap allocations. That flexibility is what the fault,
-//! retry and observability studies need — but the Table 2 reference
-//! runs spend their whole budget in it with all of those hooks
-//! disabled. This module is the celox move (ROADMAP item 1): when the
-//! configuration matches the supported family, the two omega networks
-//! are compiled into flat structure-of-arrays state and stepped by a
-//! const-generic, branch-lean loop with the hooks compiled out
-//! entirely, replicating the generic engine *state for state* so
-//! reports and checkpoints stay bit-identical.
+//! of small heap allocations. The Table 2 reference runs and the
+//! degraded-machine study spend their whole budget in it. This module
+//! is the celox move: when the configuration matches the supported
+//! family, the two omega networks are compiled into flat
+//! structure-of-arrays state and stepped by a const-generic,
+//! branch-lean loop with the telemetry hooks compiled out entirely and
+//! the fault hooks compiled in only when a plan is attached,
+//! replicating the generic engine *state for state* so reports and
+//! checkpoints stay bit-identical.
 //!
 //! # Eligibility and fallback
 //!
@@ -23,8 +23,6 @@
 //!
 //! - no telemetry handle is attached (obs hooks are compiled out, so
 //!   an attached `Obs` would silently go blind), and
-//! - no fault schedule or recovery state is attached (fault hooks are
-//!   compiled out too), and
 //! - the network family fits the packed lanes: 1–4 stages, radix ≤ 64,
 //!   ≤ 4096 ports, switch queues ≤ 64 words, exit FIFOs ≤ 65536 words,
 //!   module buffers ≤ 64 requests,
@@ -67,6 +65,28 @@
 //! `export` writes the exact generic representation back, so a
 //! checkpoint taken after a specialized run is byte-identical to one
 //! from a generic run.
+//!
+//! # Fault plans
+//!
+//! An attached [`FaultPlan`] is consulted at the points and in the
+//! order the generic engine consults it:
+//!
+//! - stuck and slowed switch outputs hold their word before the
+//!   capacity check of the exit or link they feed. A per-switch
+//!   `faulted` mask, built at import from
+//!   [`FaultPlan::faulted_outputs`], limits the plan lookup to the few
+//!   outputs it names;
+//! - single-word link drops are decided after the pop, exactly where
+//!   `collect_exits` and `link_transfers` decide them;
+//! - a fail-stopped module is visited on its fail cycle (a queued fault
+//!   event joins that cycle's wake set) and on every arrival after, and
+//!   its work is discarded; a stalled module is skipped, and one holding
+//!   requests is re-armed on the wake wheel when its window closes;
+//! - recovery (pending requests, retry timers, dedup at eject,
+//!   `fire_retries`) runs on the experiment's own `RecoveryState`, and
+//!   the idle fast-forward shares `idle_target` with the generic engine,
+//!   so `ff_cycles` and the timer heap — and hence checkpoint bytes —
+//!   agree across engines.
 
 use super::*;
 use crate::network::INJECT_FIFO_WORDS;
@@ -283,9 +303,10 @@ fn st_lock(st: u32) -> u32 {
 
 /// Bounds-check-free lane read for the hot stepping paths. Every index
 /// is derived from dimensions validated by `specialization_blocker`
-/// (port/switch/queue arithmetic over fixed lane shapes), and debug
-/// builds — including the whole test suite and the differential fuzz
-/// run — verify each access. Release builds skip the redundant check:
+/// (port/switch/queue arithmetic over fixed lane shapes), and builds
+/// with debug assertions — debug test runs, and the `release-checked`
+/// profile CI runs the differential suite, goldens and degraded runs
+/// under — verify each access. Release builds skip the redundant check:
 /// the specialized engine's inner loops index a dozen lanes per word
 /// moved, and the elided compare/branch pairs are a measurable share
 /// of its per-event budget.
@@ -306,6 +327,9 @@ fn at<T>(lane: &mut [T], i: usize) -> &mut T {
     unsafe { lane.get_unchecked_mut(i) }
 }
 
+/// Initial per-port exit ring size, in words.
+const MIN_EXIT_RING: usize = 4;
+
 /// A generic [`OmegaNetwork`] compiled into flat lanes for the
 /// duration of one specialized drive. Queue indices: switch-port queue
 /// `q = (stage * switches + sw) * radix + port`, ring slot
@@ -322,8 +346,12 @@ struct SpecNet {
     qshift: u32,
     qmask: usize,
     exit_cap: usize,
+    /// Exit ring size is `1 << eshift`; see `fit_exit_rings`.
     eshift: u32,
     emask: usize,
+    /// Buffered exit words at which `fit_exit_rings` must check the
+    /// rings (`u64::MAX` once they hold `exit_cap`).
+    exit_grow_at: u64,
     ratio: u64,
     // Topology tables (`inv_shuffle` inverts `shuffle`, mapping a
     // stage input position back to the upstream output that feeds it).
@@ -381,6 +409,8 @@ struct SpecNet {
     now: u64,
     words_injected: u64,
     words_exited: u64,
+    /// Exit words consumed; `words_exited - exit_popped` are buffered.
+    exit_popped: u64,
     /// Total words anywhere in the network (inject + switch + exit).
     /// `buffered == 0` is exactly the generic `is_idle()`.
     buffered: u64,
@@ -388,6 +418,42 @@ struct SpecNet {
     /// wormhole lock can exist anywhere in the network and the
     /// monomorphic single-word transfer variant is exact.
     multiword_words: u64,
+    /// The attached fault plan, boxed to keep the healthy lanes
+    /// compact.
+    faults: Option<Box<NetFaults>>,
+    words_dropped: u64,
+}
+
+/// The fault plan as one network's lanes consult it.
+struct NetFaults {
+    plan: FaultPlan,
+    /// This network's direction in the plan.
+    dir: NetDirection,
+    /// Per switch: the outputs the plan names as stuck or slowed. Only
+    /// those consult `output_blocked`.
+    faulted: Vec<u64>,
+    /// Whether links drop words at all.
+    drops: bool,
+}
+
+impl NetFaults {
+    fn new(plan: &FaultPlan, dir: NetDirection, cfg: &NetworkConfig) -> NetFaults {
+        let switches = cfg.ports() / cfg.radix;
+        let mut faulted = vec![0u64; cfg.stages * switches];
+        // A plan generated for a different machine shape may name
+        // outputs this network lacks; they never match here.
+        for (d, s, sw, port) in plan.faulted_outputs() {
+            if d == dir && s < cfg.stages && sw < switches && port < cfg.radix {
+                faulted[s * switches + sw] |= 1u64 << port;
+            }
+        }
+        NetFaults {
+            plan: plan.clone(),
+            dir,
+            faulted,
+            drops: plan.drops_words(),
+        }
+    }
 }
 
 impl SpecNet {
@@ -403,7 +469,16 @@ impl SpecNet {
         let queue_words = cfg.queue_words;
         let qcap = queue_words.next_power_of_two();
         let exit_cap = cfg.exit_fifo_words;
-        let ecap = exit_cap.next_power_of_two();
+        // Exit rings start just large enough for the words present and
+        // double on demand: a consumer that drains every cycle, like
+        // the fabric's CE side behind 512-word prefetch buffers, never
+        // pays for the full capacity.
+        let exit_words: usize = net.exit_fifo.iter().map(VecDeque::len).sum();
+        let longest = net.exit_fifo.iter().map(VecDeque::len).max().unwrap_or(0);
+        let ecap = (longest + 1)
+            .max(MIN_EXIT_RING)
+            .next_power_of_two()
+            .min(exit_cap.next_power_of_two());
         let nq = stages_n * switches * radix;
         let nsw = stages_n * switches;
         let pwords = ports.div_ceil(64);
@@ -420,6 +495,11 @@ impl SpecNet {
             exit_cap,
             eshift: ecap.trailing_zeros(),
             emask: ecap - 1,
+            exit_grow_at: if ecap >= exit_cap {
+                u64::MAX
+            } else {
+                ecap as u64
+            },
             ratio: cfg.net_cycles_per_ce_cycle,
             shuffle: vec![0; ports],
             inv_shuffle: vec![0; ports],
@@ -455,8 +535,13 @@ impl SpecNet {
             now: net.now,
             words_injected: net.words_injected,
             words_exited: net.words_exited,
+            exit_popped: net.words_exited - exit_words as u64,
             buffered: 0,
             multiword_words: 0,
+            faults: net
+                .faults()
+                .map(|plan| Box::new(NetFaults::new(plan, net.direction, &cfg))),
+            words_dropped: net.words_dropped,
         };
         for pos in 0..ports {
             let shuffled = net.topo.shuffle(pos);
@@ -634,6 +719,7 @@ impl SpecNet {
         net.now = self.now;
         net.words_injected = self.words_injected;
         net.words_exited = self.words_exited;
+        net.words_dropped = self.words_dropped;
         // `delivered` was empty at import (eligibility) and the
         // specialized engine never appends to it; nothing to write.
     }
@@ -704,18 +790,89 @@ impl SpecNet {
     /// occupancy masks in registers across both halves of its cycle
     /// and walks the switch state once per cycle instead of once per
     /// phase.
-    fn step<const S: usize>(&mut self) {
+    /// `FAULTS` compiles the fault checks in (the driving loop sets it
+    /// when a plan is attached).
+    fn step<const S: usize, const FAULTS: bool>(&mut self) {
+        // A cycle exits at most one word per position, so rings with a
+        // free slot at every port cannot overflow during it.
+        if self.words_exited - self.exit_popped >= self.exit_grow_at {
+            self.fit_exit_rings();
+        }
         // One predictable branch per cycle: with no multi-word packet
         // buffered anywhere, wormhole locks cannot engage and the
         // lock-free monomorphic transfer is exact.
         if self.multiword_words == 0 {
-            self.step_inner::<S, false>();
+            self.step_inner::<S, false, FAULTS>();
         } else {
-            self.step_inner::<S, true>();
+            self.step_inner::<S, true, FAULTS>();
         }
     }
 
-    fn step_inner<const S: usize, const MULTI: bool>(&mut self) {
+    /// Doubles the exit rings, re-laying each port's words from slot 0,
+    /// until every port has a free slot or the rings hold `exit_cap`.
+    /// Called only when enough words are buffered that some ring might
+    /// be full.
+    #[cold]
+    fn fit_exit_rings(&mut self) {
+        let longest = self.exit_len.iter().copied().max().unwrap_or(0) as usize;
+        let mut shift = self.eshift;
+        while (1 << shift) <= longest && (1 << shift) < self.exit_cap {
+            shift += 1;
+        }
+        if shift != self.eshift {
+            let mut grown = vec![ExitSlot::default(); self.ports << shift];
+            for pos in 0..self.ports {
+                let head = self.exit_head[pos] as usize;
+                for i in 0..self.exit_len[pos] as usize {
+                    grown[(pos << shift) + i] =
+                        self.exit_q[(pos << self.eshift) + ((head + i) & self.emask)];
+                }
+                self.exit_head[pos] = 0;
+            }
+            self.exit_q = grown;
+            self.eshift = shift;
+            self.emask = (1 << shift) - 1;
+        }
+        let ring = 1u64 << shift;
+        self.exit_grow_at = if ring >= self.exit_cap as u64 {
+            u64::MAX
+        } else {
+            ring
+        };
+    }
+
+    /// Whether the plan blocks output `out` of switch `sw` (global
+    /// `gsw`) at stage `s` this cycle. Only outputs in the precomputed
+    /// `faulted` mask consult the plan.
+    #[inline]
+    fn output_closed(&self, s: usize, gsw: usize, sw: usize, out: usize) -> bool {
+        self.faults.as_ref().is_some_and(|f| {
+            ld(&f.faulted, gsw) >> out & 1 != 0
+                && f.plan.output_blocked(f.dir, s, sw, out, self.now)
+        })
+    }
+
+    /// Whether the link out of `(s, sw, out)` loses the word `(id,
+    /// meta)` this cycle: `OmegaNetwork::link_eats`, which spares
+    /// multi-word packets.
+    #[inline]
+    fn link_eats(&self, s: usize, sw: usize, out: usize, id: u64, meta: u32) -> bool {
+        meta_words(meta) == 1
+            && self
+                .faults
+                .as_ref()
+                .is_some_and(|f| f.drops && f.plan.drops_word(f.dir, s, sw, out, id, self.now))
+    }
+
+    /// Accounts for a popped word the link lost: it leaves the network
+    /// without exiting.
+    #[inline]
+    fn drop_word(&mut self) {
+        self.words_dropped += 1;
+        self.buffered -= 1;
+    }
+
+    fn step_inner<const S: usize, const MULTI: bool, const FAULTS: bool>(&mut self) {
         self.now += 1;
         for s in 0..S {
             let last = s + 1 == S;
@@ -728,9 +885,9 @@ impl SpecNet {
                     continue; // nothing buffered, nothing grantable
                 }
                 if last {
-                    self.collect_exits_sw(gsw, sw, &mut ne, &mut fl);
+                    self.collect_exits_sw::<FAULTS>(s, gsw, sw, &mut ne, &mut fl);
                 } else {
-                    self.link_sw(s, gsw, sw, &mut ne, &mut fl);
+                    self.link_sw::<FAULTS>(s, gsw, sw, &mut ne, &mut fl);
                 }
                 if g & !fl != 0 {
                     self.transfer::<MULTI>(s, gsw, g, &mut ne, &mut fl);
@@ -742,14 +899,25 @@ impl SpecNet {
         self.injection();
     }
 
-    /// One last-stage switch → its exit FIFOs. Mirrors the generic
-    /// order: the exit capacity check happens before the pop, and at
-    /// most one word exits per position per cycle.
-    fn collect_exits_sw(&mut self, gsw: usize, sw: usize, ne: &mut u64, fl: &mut u64) {
+    /// One last-stage switch (stage `s`) → its exit FIFOs. Mirrors the
+    /// generic order: a fault-blocked output holds its word, the exit
+    /// capacity check happens before the pop, a link drop comes after
+    /// it, and at most one word exits per position per cycle.
+    fn collect_exits_sw<const FAULTS: bool>(
+        &mut self,
+        s: usize,
+        gsw: usize,
+        sw: usize,
+        ne: &mut u64,
+        fl: &mut u64,
+    ) {
         let mut m = *ne & !ld(&self.exit_blocked, gsw);
         while m != 0 {
             let out = m.trailing_zeros() as usize;
             m &= m - 1;
+            if FAULTS && self.output_closed(s, gsw, sw, out) {
+                continue;
+            }
             let pos = (sw << self.rbits) + out;
             let elen = ld(&self.exit_len, pos) as usize;
             if elen >= self.exit_cap {
@@ -757,6 +925,10 @@ impl SpecNet {
                 continue;
             }
             let (id, meta) = self.pop_out_local(gsw, out, ne, fl);
+            if FAULTS && self.link_eats(s, sw, out, id, meta) {
+                self.drop_word();
+                continue;
+            }
             let eslot =
                 (pos << self.eshift) + ((ld(&self.exit_head, pos) as usize + elen) & self.emask);
             *at(&mut self.exit_q, eslot) = ExitSlot {
@@ -772,12 +944,24 @@ impl SpecNet {
 
     /// One switch's inter-stage shuffle links into stage `s + 1`. The
     /// link stages drain mutually disjoint queues, so the per-stage
-    /// processing order is free.
-    fn link_sw(&mut self, s: usize, gsw: usize, sw: usize, ne: &mut u64, fl: &mut u64) {
+    /// processing order is free. Fault checks sit where the generic
+    /// `link_transfers` has them: a blocked output before the capacity
+    /// check, a drop after the pop.
+    fn link_sw<const FAULTS: bool>(
+        &mut self,
+        s: usize,
+        gsw: usize,
+        sw: usize,
+        ne: &mut u64,
+        fl: &mut u64,
+    ) {
         let mut m = *ne & !ld(&self.link_blocked, gsw);
         while m != 0 {
             let out = m.trailing_zeros() as usize;
             m &= m - 1;
+            if FAULTS && self.output_closed(s, gsw, sw, out) {
+                continue;
+            }
             let shuffled = ld(&self.shuffle, (sw << self.rbits) + out) as usize;
             let ngsw = (s + 1) * self.switches + (shuffled >> self.rbits);
             let nin = shuffled & self.rmask;
@@ -786,6 +970,10 @@ impl SpecNet {
                 continue;
             }
             let (id, meta) = self.pop_out_local(gsw, out, ne, fl);
+            if FAULTS && self.link_eats(s, sw, out, id, meta) {
+                self.drop_word();
+                continue;
+            }
             self.push_switch_input(s + 1, ngsw, nin, id, meta);
         }
     }
@@ -1029,6 +1217,7 @@ impl SpecNet {
                 !(1u64 << (pos & self.rmask));
         }
         self.buffered -= 1;
+        self.exit_popped += 1;
         // Progress tracking: a single-word packet at an idle exit
         // opens and closes its tracker in one pop, which is a no-op on
         // the lanes (the generic engine's set-then-clear leaves `None`
@@ -1102,6 +1291,41 @@ struct SpecModules {
     busy: usize,
     /// Count of live partials (fast-forward eligibility in O(1)).
     partials: usize,
+    /// Module-side faults, when a plan is attached.
+    faults: Option<Box<ModuleFaults>>,
+}
+
+/// The fault plan as the module lanes consult it. A fail-stopped
+/// module's work is discarded on its fail cycle and every arriving word
+/// after; a stalled module is skipped, and one holding requests gets a
+/// wake when its stall window closes (the timing wheel only spans one
+/// service time).
+struct ModuleFaults {
+    plan: FaultPlan,
+    /// `(cycle, module)` fail-stops not yet visited, latest first.
+    fail_events: Vec<(u64, usize)>,
+    /// `(cycle, module)` wakes deferred past a stall window.
+    stall_wakes: Vec<(u64, usize)>,
+    /// Words and requests destroyed at fail-stopped modules during
+    /// this drive.
+    discards: u64,
+}
+
+impl ModuleFaults {
+    fn new(plan: &FaultPlan, n: usize) -> ModuleFaults {
+        // Every fail-stop queues, past ones included: visiting a module
+        // whose lanes were already emptied is a no-op.
+        let mut fail_events: Vec<(u64, usize)> = (0..n)
+            .filter_map(|m| Some((plan.module_fail_cycle(m)?, m)))
+            .collect();
+        fail_events.sort_unstable_by(|a, b| b.cmp(a));
+        ModuleFaults {
+            plan: plan.clone(),
+            fail_events,
+            stall_wakes: Vec::new(),
+            discards: 0,
+        }
+    }
 }
 
 impl SpecModules {
@@ -1111,6 +1335,7 @@ impl SpecModules {
         buf_cap: usize,
         service: u64,
         now: u64,
+        faults: Option<&FaultPlan>,
     ) -> SpecModules {
         let n = modules.len();
         let words = n.div_ceil(64).max(1);
@@ -1140,6 +1365,7 @@ impl SpecModules {
             wheel: vec![0; wheel_len * words],
             busy: 0,
             partials: 0,
+            faults: faults.map(|plan| Box::new(ModuleFaults::new(plan, n))),
         };
         for (i, m) in modules.iter().enumerate() {
             debug_assert!(m.pending.len() <= buf_cap);
@@ -1190,8 +1416,9 @@ impl SpecModules {
     }
 
     /// Writes the lanes back into the fabric's canonical module and
-    /// partial-slot representation.
-    fn export(&self, modules: &mut [MemModule], partial: &mut [Option<(Packet, u8)>]) {
+    /// partial-slot representation, returning the words and requests
+    /// discarded at fail-stopped modules during the drive.
+    fn export(&self, modules: &mut [MemModule], partial: &mut [Option<(Packet, u8)>]) -> u64 {
         for (i, m) in modules.iter_mut().enumerate() {
             m.pending.clear();
             for j in 0..self.pend_len[i] as usize {
@@ -1211,6 +1438,7 @@ impl SpecModules {
                 )
             });
         }
+        self.faults.as_ref().map_or(0, |f| f.discards)
     }
 
     /// Whether any module holds pending, outgoing or partial work —
@@ -1232,13 +1460,16 @@ impl SpecModules {
         *at(&mut self.pend_len, i) += 1;
     }
 
-    /// One cycle of `service_modules` (healthy path): accept at most
-    /// one forward word, retry a blocked reply, start one service.
-    /// Only modules with an arriving word, a live reply, or an expiring
-    /// service timer are visited; every skipped visit is provably a
-    /// no-op in the generic engine.
-    fn service(&mut self, fwd: &mut SpecNet, rev: &mut SpecNet, now: u64) {
+    /// One cycle of `service_modules`: accept at most one forward
+    /// word, retry a blocked reply, start one service. Only modules
+    /// with an arriving word, a live reply, an expiring service timer,
+    /// or (under faults) a fail-stop or stall end due now are visited;
+    /// every skipped visit is provably a no-op in the generic engine.
+    fn service<const FAULTS: bool>(&mut self, fwd: &mut SpecNet, rev: &mut SpecNet, now: u64) {
         let slot = (now % self.wheel_len as u64) as usize * self.words;
+        if FAULTS {
+            self.wake_fault_events(slot, now);
+        }
         for w in 0..self.words {
             let wake = std::mem::take(at(&mut self.wheel, slot + w));
             let mut m = wake | ld(&self.out_mask, w) | fwd.exit_mask.get(w).copied().unwrap_or(0);
@@ -1248,13 +1479,72 @@ impl SpecModules {
                 if i >= self.n {
                     break;
                 }
-                self.service_one(fwd, rev, now, i);
+                self.service_one::<FAULTS>(fwd, rev, now, i);
             }
         }
     }
 
+    /// Adds the modules whose fail-stop or deferred stall wake is due
+    /// to this cycle's wake set (the wheel slot at `slot`).
+    fn wake_fault_events(&mut self, slot: usize, now: u64) {
+        let Some(f) = self.faults.as_mut() else {
+            return;
+        };
+        let wheel = &mut self.wheel;
+        let mut wake = |i: usize| *at(wheel, slot + (i >> 6)) |= 1u64 << (i & 63);
+        while let Some(&(due, i)) = f.fail_events.last() {
+            if due > now {
+                break;
+            }
+            f.fail_events.pop();
+            wake(i);
+        }
+        f.stall_wakes.retain(|&(due, i)| {
+            if due <= now {
+                wake(i);
+            }
+            due > now
+        });
+    }
+
+    /// Module `i`'s fault state at `now`, acted on: a fail-stopped
+    /// module's work is discarded, and a stalled module holding
+    /// requests gets a wake for when its window closes (the visit
+    /// consumed the one it had). Returns whether the visit ends here.
+    /// Kept out of line so the healthy `service_one` stays small.
+    #[inline(never)]
+    fn fault_visit(&mut self, fwd: &mut SpecNet, now: u64, i: usize) -> bool {
+        let Some(f) = self.faults.as_mut() else {
+            return false;
+        };
+        if f.plan.module_failed(i, now) {
+            self.fail_stop(fwd, i);
+            return true;
+        }
+        if !f.plan.module_stalled(i, now) {
+            return false;
+        }
+        if ld(&self.pend_len, i) > 0 {
+            if let Some(end) = f.plan.module_stall_end(i, now) {
+                if !f.stall_wakes.contains(&(end, i)) {
+                    f.stall_wakes.push((end, i));
+                }
+            }
+        }
+        true
+    }
+
     #[inline]
-    fn service_one(&mut self, fwd: &mut SpecNet, rev: &mut SpecNet, now: u64, i: usize) {
+    fn service_one<const FAULTS: bool>(
+        &mut self,
+        fwd: &mut SpecNet,
+        rev: &mut SpecNet,
+        now: u64,
+        i: usize,
+    ) {
+        if FAULTS && self.fault_visit(fwd, now, i) {
+            return;
+        }
         let was_busy = ld(&self.pend_len, i) > 0 || ld(&self.out_live, i);
         // Accept one word into the reassembly slot / pending queue
         // (pop directly — the generic peek-then-pop pair reads the
@@ -1326,6 +1616,34 @@ impl SpecModules {
             }
         }
     }
+
+    /// The fail-stop branch of `service_modules`: arriving words, the
+    /// queued requests, the blocked reply and the partial packet all
+    /// vanish (retries re-aim at the fallback module).
+    fn fail_stop(&mut self, fwd: &mut SpecNet, i: usize) {
+        let mut discards = 0;
+        while fwd.pop_output(i).is_some() {
+            discards += 1;
+        }
+        let was_busy = ld(&self.pend_len, i) > 0 || ld(&self.out_live, i);
+        discards += u64::from(ld(&self.pend_len, i));
+        *at(&mut self.pend_len, i) = 0;
+        if ld(&self.out_live, i) {
+            *at(&mut self.out_live, i) = false;
+            *at(&mut self.out_mask, i >> 6) &= !(1u64 << (i & 63));
+            discards += 1;
+        }
+        if ld(&self.part_live, i) {
+            *at(&mut self.part_live, i) = false;
+            self.partials -= 1;
+        }
+        if was_busy {
+            self.busy -= 1;
+        }
+        if let Some(f) = self.faults.as_mut() {
+            f.discards += discards;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1335,12 +1653,9 @@ impl SpecModules {
 impl RoundTripFabric {
     /// Why this fabric/experiment pair cannot run on the specialized
     /// engine, or `None` when it can.
-    pub(crate) fn specialization_blocker(&self, exp: &FabricExperiment) -> Option<&'static str> {
+    pub(crate) fn specialization_blocker(&self) -> Option<&'static str> {
         if self.obs.is_some() {
             return Some("telemetry attached");
-        }
-        if self.faults.is_some() || exp.recovery.is_some() {
-            return Some("fault schedule attached");
         }
         let net = &self.cfg.net;
         if !(1..=4).contains(&net.stages) {
@@ -1386,6 +1701,7 @@ impl RoundTripFabric {
             self.cfg.module_buffer_requests,
             self.cfg.mem_service_net_cycles,
             self.now,
+            self.faults.as_ref(),
         );
         // Pre-size the per-CE result vectors to their final lengths so
         // the hot loop never reallocates (capacity is not semantic).
@@ -1395,23 +1711,32 @@ impl RoundTripFabric {
             src.issued_at
                 .reserve(total.saturating_sub(src.issued_at.len()));
         }
-        let result = match self.cfg.net.stages {
-            1 => self.spec_loop::<1>(&mut fwd, &mut rev, &mut mods, exp, watchdog, stop_at),
-            2 => self.spec_loop::<2>(&mut fwd, &mut rev, &mut mods, exp, watchdog, stop_at),
-            3 => self.spec_loop::<3>(&mut fwd, &mut rev, &mut mods, exp, watchdog, stop_at),
-            4 => self.spec_loop::<4>(&mut fwd, &mut rev, &mut mods, exp, watchdog, stop_at),
+        // Healthy runs get a loop with every fault and recovery hook
+        // compiled out.
+        let faulted = self.faults.is_some() || exp.recovery.is_some();
+        let (f, r, m) = (&mut fwd, &mut rev, &mut mods);
+        let result = match (self.cfg.net.stages, faulted) {
+            (1, false) => self.spec_loop::<1, false>(f, r, m, exp, watchdog, stop_at),
+            (2, false) => self.spec_loop::<2, false>(f, r, m, exp, watchdog, stop_at),
+            (3, false) => self.spec_loop::<3, false>(f, r, m, exp, watchdog, stop_at),
+            (4, false) => self.spec_loop::<4, false>(f, r, m, exp, watchdog, stop_at),
+            (1, true) => self.spec_loop::<1, true>(f, r, m, exp, watchdog, stop_at),
+            (2, true) => self.spec_loop::<2, true>(f, r, m, exp, watchdog, stop_at),
+            (3, true) => self.spec_loop::<3, true>(f, r, m, exp, watchdog, stop_at),
+            (4, true) => self.spec_loop::<4, true>(f, r, m, exp, watchdog, stop_at),
             _ => unreachable!("specialization_blocker admits only 1..=4 stages"),
         };
         fwd.export(&mut self.forward);
         rev.export(&mut self.reverse);
-        mods.export(&mut self.modules, &mut self.partial);
+        self.module_discards += mods.export(&mut self.modules, &mut self.partial);
         result
     }
 
     /// The monomorphized experiment loop: `step_experiment` with the
-    /// obs/fault/recovery branches compiled out and the networks and
-    /// modules in SoA form.
-    fn spec_loop<const S: usize>(
+    /// obs branches compiled out and the networks and modules in SoA
+    /// form. Recovery runs on the experiment's own `RecoveryState`, so
+    /// pending requests and retry timers need no translation.
+    fn spec_loop<const S: usize, const FAULTS: bool>(
         &mut self,
         fwd: &mut SpecNet,
         rev: &mut SpecNet,
@@ -1435,13 +1760,23 @@ impl RoundTripFabric {
             self.now += 1;
             let ce_boundary = self.now.is_multiple_of(exp.ratio);
             let ce_now = self.now / exp.ratio;
-            fwd.step::<S>();
-            rev.step::<S>();
-            mods.service(fwd, rev, self.now);
+            fwd.step::<S, FAULTS>();
+            rev.step::<S, FAULTS>();
+            mods.service::<FAULTS>(fwd, rev, self.now);
+            let rec = if FAULTS { exp.recovery.as_mut() } else { None };
             exp.completed_requests +=
-                Self::spec_eject_replies(rev, &mut exp.sources, &mut issuable);
+                Self::spec_eject_replies(rev, &mut exp.sources, rec, &mut issuable);
+            if let Some(rec) = exp.recovery.as_mut().filter(|_| FAULTS) {
+                let failed = rec.failed_requests;
+                self.fire_retries(rec, &mut exp.sources, |_, packet| fwd.try_inject(packet));
+                if rec.failed_requests != failed {
+                    // An abandonment frees a window slot like a reply.
+                    issuable.fill(!0);
+                }
+            }
             if ce_boundary {
-                self.spec_issue_requests(fwd, &mut exp.sources, ce_now, &mut issuable);
+                let rec = if FAULTS { exp.recovery.as_mut() } else { None };
+                self.spec_issue_requests(fwd, &mut exp.sources, ce_now, rec, &mut issuable);
             }
             if let Some(dog) = watchdog.as_deref_mut() {
                 if let Err(report) = dog.observe(self.now, exp.resolved_requests()) {
@@ -1453,30 +1788,21 @@ impl RoundTripFabric {
     }
 
     /// `idle_fast_forward` for SoA networks: identical preconditions
-    /// (`buffered == 0` is the generic `is_idle()`) and an identical
-    /// jump target, so timestamps match the generic engine exactly.
+    /// (`buffered == 0` is the generic `is_idle()`) and the shared
+    /// `idle_target`, so timestamps, `ff_cycles` and the retry heap
+    /// match the generic engine exactly.
     fn spec_fast_forward(
         &mut self,
         fwd: &mut SpecNet,
         rev: &mut SpecNet,
         mods: &SpecModules,
-        exp: &FabricExperiment,
+        exp: &mut FabricExperiment,
         horizon: Option<u64>,
     ) {
         if fwd.buffered != 0 || rev.buffered != 0 || mods.any_work() {
             return;
         }
-        let ratio = exp.ratio;
-        let next_boundary = (self.now / ratio + 1) * ratio;
-        let target = exp
-            .sources
-            .iter()
-            .filter(|s| !s.done_issuing)
-            .map(|s| next_boundary.max(s.blocked_until_ce * ratio))
-            .min()
-            .unwrap_or(exp.max_net_cycles)
-            .min(exp.max_net_cycles)
-            .min(horizon.unwrap_or(u64::MAX));
+        let target = self.idle_target(exp, horizon);
         if target <= self.now + 1 {
             return;
         }
@@ -1487,11 +1813,12 @@ impl RoundTripFabric {
         self.ff_cycles += skipped;
     }
 
-    /// `eject_replies` against an SoA reverse network (no recovery),
-    /// visiting only the ports with buffered exit words.
+    /// `eject_replies` against an SoA reverse network, visiting only
+    /// the ports with buffered exit words.
     fn spec_eject_replies(
         rev: &mut SpecNet,
         sources: &mut [CeSource],
+        mut rec: Option<&mut RecoveryState>,
         issuable: &mut [u64],
     ) -> u64 {
         let mut completed = 0;
@@ -1516,6 +1843,11 @@ impl RoundTripFabric {
                     .then(|| block_len.trailing_zeros());
                 while let Some((id, meta, arrived)) = rev.pop_output(pos) {
                     debug_assert_eq!(meta_kind(meta), kind_tag(PacketKind::Reply));
+                    if let Some(rec) = rec.as_deref_mut() {
+                        if !rec.resolve(id) {
+                            continue; // a duplicate or late reply
+                        }
+                    }
                     let local = Self::local_index(PacketId(id), src.port);
                     let (block, index_in_block) = match bl_shift {
                         Some(shift) => (local >> shift, local & (block_len - 1)),
@@ -1541,20 +1873,20 @@ impl RoundTripFabric {
         completed
     }
 
-    /// `issue_requests` against an SoA forward network (no recovery,
-    /// no obs). RNG draws happen in the same order as the generic
-    /// path, so addresses — and therefore everything downstream — are
-    /// identical.
+    /// `issue_requests` against an SoA forward network (no obs). RNG
+    /// draws happen in the same order as the generic path, so addresses
+    /// — and therefore everything downstream — are identical.
     fn spec_issue_requests(
         &mut self,
         fwd: &mut SpecNet,
         sources: &mut [CeSource],
         ce_now: u64,
+        mut rec: Option<&mut RecoveryState>,
         issuable: &mut [u64],
     ) {
         let n_mod = self.cfg.mem_modules;
-        for w in 0..issuable.len() {
-            let mut m = issuable[w];
+        for (w, armed) in issuable.iter_mut().enumerate() {
+            let mut m = *armed;
             while m != 0 {
                 let idx = (w << 6) + m.trailing_zeros() as usize;
                 m &= m - 1;
@@ -1562,54 +1894,48 @@ impl RoundTripFabric {
                     break;
                 }
                 let src = &mut sources[idx];
-                if src.done_issuing || src.outstanding >= src.traffic.window {
-                    // Only an ejected reply can unblock this source;
-                    // park it until one arrives.
-                    issuable[w] &= !(1u64 << (idx & 63));
+                if src.parked() {
+                    // Only a reply or an abandonment can unblock this
+                    // source; park it until one arrives.
+                    *armed &= !(1u64 << (idx & 63));
                     continue;
                 }
                 if ce_now < src.blocked_until_ce {
                     continue; // time-based gap: stays armed
                 }
-                self.spec_issue_one(fwd, src, ce_now, n_mod, issuable, w, idx);
+                self.spec_issue_one(fwd, src, ce_now, n_mod, rec.as_deref_mut());
             }
         }
     }
 
-    /// One source's issue attempt at a CE boundary (the loop body of
-    /// the generic `issue_requests`, minus recovery and obs).
+    /// One unparked source's issue attempt at a CE boundary (the loop
+    /// body of the generic `issue_requests`, minus obs).
     #[inline]
-    #[allow(clippy::too_many_arguments)]
     fn spec_issue_one(
         &mut self,
         fwd: &mut SpecNet,
         src: &mut CeSource,
         ce_now: u64,
         n_mod: usize,
-        issuable: &mut [u64],
-        w: usize,
-        idx: usize,
+        rec: Option<&mut RecoveryState>,
     ) {
         {
             if src.next_index == 0 {
                 if src.next_block >= src.completed_blocks + src.traffic.blocks_in_flight {
-                    if src.write_debt >= 1.0 {
-                        let module =
-                            (src.stream_bases[0] + n_mod / 2 + src.writes_issued as usize) % n_mod;
-                        let write = Packet::write(
-                            src.port,
-                            module,
-                            ((src.port as u64) << 40) | (1 << 39) | src.writes_issued,
-                            1,
-                        );
-                        if fwd.try_inject(write) {
-                            src.write_debt -= 1.0;
-                            src.writes_issued += 1;
-                        }
-                    } else {
-                        // Block flow-window closed with no write owed:
-                        // nothing can happen before the next reply.
-                        issuable[w] &= !(1u64 << (idx & 63));
+                    // Unparked at a closed block flow-window: a store
+                    // is owed.
+                    debug_assert!(src.write_debt >= 1.0);
+                    let module =
+                        (src.stream_bases[0] + n_mod / 2 + src.writes_issued as usize) % n_mod;
+                    let write = Packet::write(
+                        src.port,
+                        module,
+                        ((src.port as u64) << 40) | (1 << 39) | src.writes_issued,
+                        1,
+                    );
+                    if fwd.try_inject(write) {
+                        src.write_debt -= 1.0;
+                        src.writes_issued += 1;
                     }
                     return;
                 }
@@ -1637,6 +1963,9 @@ impl RoundTripFabric {
             if fwd.try_inject(packet) {
                 debug_assert_eq!(src.issued_at.len() as u64, local);
                 src.issued_at.push(self.now);
+                if let Some(rec) = rec {
+                    rec.track(packet, self.now + self.retry.base_delay_cycles);
+                }
                 src.outstanding += 1;
                 src.write_debt += src.traffic.writes_per_read;
                 src.next_index += 1;
@@ -1734,6 +2063,41 @@ mod tests {
             snap(&net),
             "import/export must be the identity"
         );
+    }
+
+    /// A consumer that never drains fills an exit FIFO past the
+    /// initial ring: the rings grow and the stepped network still
+    /// matches the generic one state for state, backpressure at full
+    /// capacity included.
+    #[test]
+    fn exit_rings_grow_to_capacity() {
+        use cedar_snap::Snapshot;
+        let mut cfg = NetworkConfig::cedar();
+        cfg.exit_fifo_words = 40;
+        let mut generic = OmegaNetwork::new(cfg);
+        let mut spec = SpecNet::import(&generic);
+        for i in 0..48u64 {
+            let packet = Packet::new(PacketId(i), (i % 16) as usize, 0o27, 1, PacketKind::Reply);
+            assert!(generic.try_inject(packet));
+            assert!(spec.try_inject(packet));
+        }
+        for _ in 0..400 {
+            generic.step();
+            spec.step::<2, false>();
+        }
+        assert_eq!(generic.exit_fifo[0o27].len(), 40, "the FIFO must fill");
+        assert!(
+            spec.eshift > MIN_EXIT_RING.trailing_zeros(),
+            "rings never grew"
+        );
+        let mut exported = OmegaNetwork::new(cfg);
+        spec.export(&mut exported);
+        let snap = |n: &OmegaNetwork| {
+            let mut w = cedar_snap::SnapWriter::new();
+            n.snap(&mut w);
+            w.into_bytes()
+        };
+        assert_eq!(snap(&exported), snap(&generic));
     }
 
     /// A full-size specialized run produces the exact report of the

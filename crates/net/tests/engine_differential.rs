@@ -1,8 +1,9 @@
 //! Differential tests between the generic and specialized execution
 //! engines: across fixed reference shapes and randomized
 //! topology/traffic/fault cases, both engines must produce bit-identical
-//! reports, bit-identical mid-run checkpoints, and (for ineligible
-//! configurations) an explicit, obs-visible fallback. Randomness comes
+//! reports, bit-identical mid-run checkpoints (mid-retry ones under
+//! fault plans included), and (for ineligible configurations) an
+//! explicit, obs-visible fallback. Randomness comes
 //! from the simulator's deterministic SplitMix64, so every failure
 //! reproduces from the seed.
 
@@ -137,45 +138,219 @@ fn random_machines_match_across_engines() {
     }
 }
 
+/// A random degraded-machine plan for `cfg`'s geometry: the degraded
+/// preset at a random drop rate with denser stuck and stall windows,
+/// plus fail-stopped modules early in the run (so re-aimed retries and
+/// discards happen) on some cases.
+fn random_plan(rng: &mut SplitMix64, cfg: &FabricConfig) -> FaultPlan {
+    let rate = [0.01, 0.02, 0.05, 0.2][rng.next_below(4) as usize];
+    let mut fault_cfg = FaultConfig::degraded(rng.next_below(u64::MAX), rate);
+    // Windows land anywhere in a 65536-cycle horizon; more and longer
+    // ones than the preset make short runs meet them.
+    fault_cfg.stuck_outputs = 8;
+    fault_cfg.stuck_window_cycles = 1_000 + rng.next_below(8_000);
+    fault_cfg.module_stalls = 8;
+    fault_cfg.stall_window_cycles = 1_000 + rng.next_below(8_000);
+    fault_cfg.failed_modules = rng.next_below(3) as u32;
+    fault_cfg.fail_by_cycle = 4_000;
+    let shape = MachineShape {
+        radix: cfg.net.radix,
+        stages: cfg.net.stages,
+        ports: cfg.net.ports(),
+        modules: cfg.mem_modules,
+    };
+    FaultPlan::generate(&fault_cfg, &shape).expect("random degraded config is valid")
+}
+
 #[test]
-fn faulted_runs_fall_back_and_still_match() {
-    // Fault schedules are outside the specialized family: requesting
-    // the specialized engine must fall back to generic — loudly via
-    // `last_fallback` — and produce the exact generic result.
+fn faulted_runs_specialize_and_match() {
+    // Fault plans run on the specialized engine: reports and the
+    // checkpoint taken mid-retry must match the generic engine
+    // byte-for-byte, across machine shapes, fault seeds, drop rates
+    // and retry budgets (short budgets reach abandonment).
     let mut rng = SplitMix64::new(0xFA11_CEDA);
-    for case in 0..6 {
-        let traffic = random_traffic(&mut rng);
-        let n_ces = 1 + rng.next_below(32) as usize;
-        let rate = [0.01, 0.02, 0.05][rng.next_below(3) as usize];
-        let seed = rng.next_below(u64::MAX);
-        let build = |engine: EngineKind| {
-            let plan =
-                FaultPlan::generate(&FaultConfig::degraded(seed, rate), &MachineShape::cedar())
-                    .expect("degraded config is valid");
-            let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
-            fabric.attach_faults(plan, RetryPolicy::fabric());
-            fabric.set_engine(engine);
-            fabric
+    let (mut mid_retry, mut failed, mut discards) = (0, 0, 0);
+    for case in 0..16 {
+        let cfg = if case % 2 == 0 {
+            FabricConfig::cedar()
+        } else {
+            random_config(&mut rng)
         };
-        let mut generic = build(EngineKind::Generic);
-        let expected = generic.run_prefetch_experiment(n_ces, traffic, MAX_NET_CYCLES);
-        let mut wanted_spec = build(EngineKind::Specialized);
-        let actual = wanted_spec.run_prefetch_experiment(n_ces, traffic, MAX_NET_CYCLES);
+        let traffic = random_traffic(&mut rng);
+        let n_ces = 1 + rng.next_below((cfg.net.ports() / 2) as u64) as usize;
+        let plan = random_plan(&mut rng, &cfg);
+        let retry = RetryPolicy {
+            base_delay_cycles: 256 << rng.next_below(5),
+            max_retries: 1 + rng.next_below(8) as u32,
+            max_delay_cycles: 1 << 14,
+        };
+        let cut = retry.base_delay_cycles + rng.next_below(retry.base_delay_cycles);
+        let run = |engine: EngineKind| {
+            let mut fabric = RoundTripFabric::new(cfg.clone());
+            fabric.attach_faults(plan.clone(), retry);
+            fabric.set_engine(engine);
+            let mut exp = fabric.begin_experiment(n_ces, traffic, MAX_NET_CYCLES);
+            fabric
+                .drive_experiment(&mut exp, None, Some(cut))
+                .expect("no watchdog attached");
+            let in_retry = exp.retry_in_flight();
+            let bytes = fabric.checkpoint_experiment(&exp);
+            fabric
+                .drive_experiment(&mut exp, None, None)
+                .expect("no watchdog attached");
+            let engine_ran = fabric.last_run_engine();
+            (bytes, in_retry, fabric.finish_experiment(exp), engine_ran)
+        };
+        let (gen_bytes, in_retry, gen_report, _) = run(EngineKind::Generic);
+        let (spec_bytes, _, spec_report, spec_engine) = run(EngineKind::Specialized);
         assert_eq!(
-            wanted_spec.last_run_engine(),
-            Some("generic"),
-            "case {case}: faulted run must fall back"
+            spec_engine,
+            Some("specialized"),
+            "case {case}: a faulted run must not fall back"
+        );
+        assert!(gen_report.resolved(), "case {case} must resolve");
+        assert_eq!(
+            gen_bytes, spec_bytes,
+            "case {case}: mid-run checkpoints diverged (cut {cut}, {n_ces} CEs)"
         );
         assert_eq!(
-            wanted_spec.last_fallback(),
-            Some("fault schedule attached"),
-            "case {case}"
+            gen_report, spec_report,
+            "case {case}: reports diverged ({n_ces} CEs)"
         );
+        mid_retry += usize::from(in_retry);
+        failed += gen_report.failed_requests();
+        discards += gen_report.module_discards();
+
+        // The checkpoint resumes on the other engine too.
+        let (mut resumed, mut exp) =
+            RoundTripFabric::restore_experiment(&spec_bytes).expect("checkpoint decodes");
+        resumed.set_engine(EngineKind::Generic);
+        resumed
+            .drive_experiment(&mut exp, None, None)
+            .expect("no watchdog attached");
         assert_eq!(
-            expected, actual,
-            "case {case}: fallback diverged from generic (seed {seed:#x}, rate {rate})"
+            resumed.finish_experiment(exp),
+            gen_report,
+            "case {case}: specialized→generic resume diverged"
         );
     }
+    assert!(
+        mid_retry >= 8 && failed > 0 && discards > 0,
+        "{mid_retry} of 16 checkpoints mid-retry, {failed} abandoned, {discards} \
+         discarded: the cases miss a fault path"
+    );
+}
+
+/// Module faults at the moment they bite. All traffic aims at the
+/// faulted module, whose long service time keeps a request queued there
+/// while the next is in flight, so a fail-stop or stall often lands on
+/// a module holding work with no word waiting at its port: the
+/// specialized engine must then visit it on its own (on the fail
+/// cycle, at the stall's end) rather than on an arrival. Each fault
+/// kind runs at the first eight seeds that place it early in the run.
+#[test]
+fn module_faults_bite_identically_across_engines() {
+    let shape = MachineShape::cedar();
+    let picks = |config: &dyn Fn(u64) -> FaultConfig,
+                 faulted: &dyn Fn(&FaultPlan, usize, u64) -> bool| {
+        (1..)
+            .filter_map(|seed| {
+                let plan = FaultPlan::generate(&config(seed), &shape).expect("valid config");
+                let (module, at) = (0..shape.modules).find_map(|m| {
+                    (1_000..8_000)
+                        .find(|&c| faulted(&plan, m, c))
+                        .map(|c| (m, c))
+                })?;
+                // Faults already in force at cycle 1000 are not "early".
+                (!faulted(&plan, module, 999)).then_some((plan, module, at))
+            })
+            .take(8)
+            .collect::<Vec<_>>()
+    };
+    let stalls = picks(
+        &|seed| FaultConfig {
+            module_stalls: 1,
+            stall_window_cycles: 600,
+            ..FaultConfig::none(seed)
+        },
+        &|plan, m, c| plan.module_stalled(m, c),
+    );
+    let fails = picks(
+        &|seed| FaultConfig {
+            failed_modules: 1,
+            fail_by_cycle: 8_000,
+            ..FaultConfig::none(seed)
+        },
+        &|plan, m, c| plan.module_failed(m, c),
+    );
+    let mut cfg = FabricConfig::cedar();
+    cfg.mem_service_net_cycles = 24;
+    for (case, (plan, module, at)) in stalls.into_iter().chain(fails).enumerate() {
+        let mut traffic = PrefetchTraffic::rk_aggressive(2);
+        traffic.window = 1;
+        traffic.pattern = AddressPattern::HotSpot {
+            module,
+            fraction: 1.0,
+        };
+        let run = |engine: EngineKind| {
+            let mut fabric = RoundTripFabric::new(cfg.clone());
+            fabric.attach_faults(plan.clone(), RetryPolicy::fabric());
+            fabric.set_engine(engine);
+            let mut exp = fabric.begin_experiment(1, traffic, MAX_NET_CYCLES);
+            // Checkpoint right after the fault's first cycle.
+            fabric
+                .drive_experiment(&mut exp, None, Some(at))
+                .expect("no watchdog attached");
+            let bytes = fabric.checkpoint_experiment(&exp);
+            fabric
+                .drive_experiment(&mut exp, None, None)
+                .expect("no watchdog attached");
+            (
+                bytes,
+                fabric.finish_experiment(exp),
+                fabric.last_run_engine(),
+            )
+        };
+        let (gen_bytes, gen_report, _) = run(EngineKind::Generic);
+        let (spec_bytes, spec_report, engine) = run(EngineKind::Specialized);
+        assert_eq!(engine, Some("specialized"), "case {case}");
+        assert!(gen_report.resolved(), "case {case} must resolve");
+        assert!(
+            gen_report.total_net_cycles > at,
+            "case {case}: the run ended before the fault at {at}"
+        );
+        assert_eq!(
+            gen_bytes, spec_bytes,
+            "case {case}: checkpoints at {at} diverged"
+        );
+        assert_eq!(gen_report, spec_report, "case {case}: reports diverged");
+    }
+}
+
+#[test]
+fn faulted_watchdog_stalls_identically_across_engines() {
+    // A plan whose every link drops every word can never complete: the
+    // retry machinery keeps the run alive until the budget runs out.
+    // With a watchdog tighter than the retry schedule, both engines
+    // must trip at the same cycle with the same diagnostic.
+    let plan = FaultPlan::generate(&FaultConfig::link_noise(7, 1.0), &MachineShape::cedar())
+        .expect("valid plan");
+    let mut traffic = PrefetchTraffic::rk_aggressive(1);
+    traffic.block_len = 16;
+    let stall = |engine: EngineKind| {
+        let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
+        fabric.attach_faults(plan.clone(), RetryPolicy::fabric());
+        fabric.set_engine(engine);
+        let mut dog = Watchdog::new(10_000, "faulted engine differential");
+        let err = fabric
+            .run_watched_experiment(4, traffic, MAX_NET_CYCLES, &mut dog)
+            .expect_err("nothing gets through, so the watchdog must trip");
+        (format!("{err:?}"), fabric.last_run_engine())
+    };
+    let (generic, _) = stall(EngineKind::Generic);
+    let (specialized, engine) = stall(EngineKind::Specialized);
+    assert_eq!(engine, Some("specialized"));
+    assert_eq!(generic, specialized);
 }
 
 #[test]

@@ -197,6 +197,19 @@ impl Obs {
         }
     }
 
+    /// Records `sample` into an interned histogram `n` times, under one
+    /// borrow. Each repetition is a full `record`: the streaming
+    /// moments are `f64`, so `n` samples have no bit-identical closed
+    /// form.
+    pub fn record_repeated(&self, id: HistogramId, sample: u64, n: u64) {
+        if let Some(inner) = self.0.as_ref() {
+            let mut inner = inner.borrow_mut();
+            for _ in 0..n {
+                inner.metrics.record(id, sample);
+            }
+        }
+    }
+
     // ---- tracing -----------------------------------------------------
 
     /// Opens a span on track `(pid, tid)` if tracing is live.
