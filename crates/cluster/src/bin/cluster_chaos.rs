@@ -25,16 +25,16 @@
 //! counters as a `cedar-bench-cluster/1` JSON report; `--track
 //! HISTORY` appends the same numbers to the cedar-track benchmark
 //! history. `--metrics-addr ADDR` (e.g. `127.0.0.1:0`) serves the
-//! coordinator's `ClusterObs` as a Prometheus `/metrics` endpoint for
+//! coordinator's telemetry as a Prometheus `/metrics` endpoint for
 //! the duration of the run, mirroring the serving tier.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cedar_cluster::{families, run_cluster_sweep, ClusterConfig, ClusterObs, MetricsServer};
+use cedar_cluster::{families, run_cluster_sweep, ClusterConfig, MetricsServer};
 use cedar_exec::run_sweep_on;
 use cedar_faults::{RetryPolicy, WorkerFaultConfig, WorkerFaultPlan};
+use cedar_obs::{Obs, ObsConfig};
 use cedar_snap::{CacheDir, Snapshot};
 
 fn usage() -> ! {
@@ -116,9 +116,9 @@ fn main() -> ExitCode {
     };
     cfg.cache = cache.clone();
 
-    let obs = Arc::new(ClusterObs::new());
+    let obs = Obs::new(ObsConfig::enabled());
     let metrics_server = match &metrics_addr {
-        Some(addr) => match MetricsServer::start(addr, Arc::clone(&obs)) {
+        Some(addr) => match MetricsServer::start(addr, obs.clone()) {
             Ok(s) => {
                 eprintln!("cluster_chaos: metrics at http://{}/metrics", s.addr());
                 Some(s)
@@ -131,8 +131,7 @@ fn main() -> ExitCode {
         None => None,
     };
     let sweep_started = Instant::now();
-    let report = match run_cluster_sweep::<u64, u64>(&cfg, families::SLOW_MIX, &inputs, Some(&*obs))
-    {
+    let report = match run_cluster_sweep::<u64, u64>(&cfg, families::SLOW_MIX, &inputs, &obs) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("cluster_chaos: sweep failed: {e}");
@@ -270,11 +269,7 @@ fn main() -> ExitCode {
 /// Renders the `cedar-bench-cluster/1` timing report: the chaos run's
 /// wall clock, throughput, supervision stats and the coordinator's
 /// observability counters.
-fn render_bench_json(
-    stats: &cedar_cluster::ClusterStats,
-    wall_ms: f64,
-    obs: &ClusterObs,
-) -> String {
+fn render_bench_json(stats: &cedar_cluster::ClusterStats, wall_ms: f64, obs: &Obs) -> String {
     use std::fmt::Write as _;
     let points_per_sec = if wall_ms > 0.0 {
         stats.jobs as f64 / (wall_ms / 1000.0)

@@ -25,11 +25,12 @@ use std::time::{Duration, Instant};
 
 use cedar_exec::sweep_keys;
 use cedar_faults::{RetryPolicy, WorkerFaultPlan};
+use cedar_obs::{HistogramId, Obs};
 use cedar_sim::watchdog::Watchdog;
 use cedar_snap::{fnv1a, read_frame, unseal, write_frame, CacheDir, FrameError, Snapshot};
 
 use crate::journal::{JobJournal, JobRecord, JobState};
-use crate::obs::ClusterObs;
+use crate::obs::intern_metrics;
 use crate::proto::{decode_msg, encode_msg, FromWorker, ToWorker};
 use crate::registry::{CHAOS_ENV, ID_ENV, INCARNATION_ENV, WORKER_ENV};
 use crate::ring::HashRing;
@@ -281,8 +282,8 @@ impl Slot {
 /// order, bit-identical to a serial sweep of the same family function.
 ///
 /// `family` names a function registered in the worker binary's
-/// [`JobRegistry`](crate::JobRegistry); `obs`, when provided, receives
-/// live supervision metrics.
+/// [`JobRegistry`](crate::JobRegistry); `obs` receives live supervision
+/// metrics (pass [`Obs::disabled`] for none).
 ///
 /// # Errors
 ///
@@ -294,13 +295,14 @@ pub fn run_cluster_sweep<I, T>(
     config: &ClusterConfig,
     family: &str,
     inputs: &[I],
-    obs: Option<&ClusterObs>,
+    obs: &Obs,
 ) -> Result<ClusterReport<T>, ClusterError>
 where
     I: Snapshot,
     T: Snapshot,
 {
     validate(config)?;
+    let commit_latency = intern_metrics(obs);
     let n = inputs.len();
     let keys = sweep_keys(&config.cache_namespace, inputs);
     let input_bytes: Vec<Vec<u8>> = inputs.iter().map(Snapshot::to_snapshot_bytes).collect();
@@ -317,9 +319,7 @@ where
             }
         }
     }
-    if let Some(obs) = obs {
-        obs.add("cluster.jobs.cache_hits", cache_hits as u64);
-    }
+    obs.bump("cluster.jobs.cache_hits", cache_hits as u64);
 
     let mut stats = ClusterStats {
         workers: config.workers,
@@ -339,6 +339,7 @@ where
             result_bytes: &mut result_bytes,
             stats: &mut stats,
             obs,
+            commit_latency,
             slots: (0..config.workers)
                 .map(|w| Slot::new(w, config.watchdog_budget_ticks))
                 .collect(),
@@ -405,7 +406,8 @@ struct Supervisor<'a> {
     journal: &'a mut JobJournal,
     result_bytes: &'a mut Vec<Option<Vec<u8>>>,
     stats: &'a mut ClusterStats,
-    obs: Option<&'a ClusterObs>,
+    obs: &'a Obs,
+    commit_latency: Option<HistogramId>,
     slots: Vec<Slot>,
     nonce_counter: u64,
     /// The listener address workers connect back to; set in
@@ -525,9 +527,7 @@ impl Supervisor<'_> {
             Event::Garbage { slot, incarnation } => {
                 if self.slot_is_current(slot, incarnation) {
                     self.stats.garbage_frames += 1;
-                    if let Some(obs) = self.obs {
-                        obs.inc("cluster.worker.garbage_frames");
-                    }
+                    self.obs.bump("cluster.worker.garbage_frames", 1);
                     self.fail_slot(slot, now_tick);
                 }
                 Ok(())
@@ -535,9 +535,7 @@ impl Supervisor<'_> {
             Event::Gone { slot, incarnation } => {
                 if self.slot_is_current(slot, incarnation) {
                     self.stats.worker_exits += 1;
-                    if let Some(obs) = self.obs {
-                        obs.inc("cluster.worker.exits");
-                    }
+                    self.obs.bump("cluster.worker.exits", 1);
                     self.fail_slot(slot, now_tick);
                 }
                 Ok(())
@@ -563,9 +561,7 @@ impl Supervisor<'_> {
             // interesting case: count it as refused.
             if matches!(msg, FromWorker::Done { .. }) {
                 self.journal.stale_results += 1;
-                if let Some(obs) = self.obs {
-                    obs.inc("cluster.results.stale");
-                }
+                self.obs.bump("cluster.results.stale", 1);
             }
             return Ok(());
         }
@@ -616,15 +612,14 @@ impl Supervisor<'_> {
                         let s = &mut self.slots[slot as usize];
                         s.inflight = s.inflight.saturating_sub(1);
                         self.stats.committed += 1;
-                        if let Some(obs) = self.obs {
-                            obs.inc("cluster.jobs.committed");
-                            obs.commit_latency(now_tick.saturating_sub(first_issue_tick));
+                        self.obs.bump("cluster.jobs.committed", 1);
+                        if let Some(latency) = self.commit_latency {
+                            self.obs
+                                .record(latency, now_tick.saturating_sub(first_issue_tick));
                         }
                     }
                     None => {
-                        if let Some(obs) = self.obs {
-                            obs.inc("cluster.results.stale");
-                        }
+                        self.obs.bump("cluster.results.stale", 1);
                     }
                 }
                 Ok(())
@@ -654,9 +649,7 @@ impl Supervisor<'_> {
                     s.child = Some(child);
                     s.watchdog.rearm(now_tick);
                     self.stats.restarts += 1;
-                    if let Some(obs) = self.obs {
-                        obs.inc("cluster.worker.restarts");
-                    }
+                    self.obs.bump("cluster.worker.restarts", 1);
                     self.publish_health(w as u32);
                 }
                 Err(_) => {
@@ -680,9 +673,7 @@ impl Supervisor<'_> {
             let frames = self.slots[w].frames_seen;
             if self.slots[w].watchdog.observe(now_tick, frames).is_err() {
                 self.stats.hangs_reaped += 1;
-                if let Some(obs) = self.obs {
-                    obs.inc("cluster.worker.hangs_reaped");
-                }
+                self.obs.bump("cluster.worker.hangs_reaped", 1);
                 self.fail_slot(w as u32, now_tick);
             }
         }
@@ -698,9 +689,7 @@ impl Supervisor<'_> {
                 let s = &mut self.slots[worker as usize];
                 s.inflight = s.inflight.saturating_sub(1);
                 self.stats.reissues += 1;
-                if let Some(obs) = self.obs {
-                    obs.inc("cluster.jobs.reissued");
-                }
+                self.obs.bump("cluster.jobs.reissued", 1);
             }
         }
     }
@@ -752,9 +741,7 @@ impl Supervisor<'_> {
                 self.journal.issue(job, w, incarnation, now_tick);
                 self.slots[w as usize].inflight += 1;
                 self.stats.dispatched += 1;
-                if let Some(obs) = self.obs {
-                    obs.inc("cluster.jobs.dispatched");
-                }
+                self.obs.bump("cluster.jobs.dispatched", 1);
             } else {
                 self.fail_slot(w, now_tick);
             }
@@ -792,9 +779,7 @@ impl Supervisor<'_> {
         if s.restart_attempts > self.config.restart.max_retries {
             s.lost = true;
             self.stats.workers_lost += 1;
-            if let Some(obs) = self.obs {
-                obs.inc("cluster.worker.lost");
-            }
+            self.obs.bump("cluster.worker.lost", 1);
         } else {
             let delay = self
                 .config
@@ -802,19 +787,33 @@ impl Supervisor<'_> {
                 .jittered_delay(s.restart_attempts, self.config.seed ^ u64::from(w));
             s.restart_at = Some(now_tick + delay);
         }
-        if let Some(obs) = self.obs {
-            obs.add("cluster.jobs.reissued", released as u64);
-        }
+        self.obs.bump("cluster.jobs.reissued", released as u64);
         self.publish_health(w);
     }
 
+    /// Publishes one worker slot's health — liveness, incarnation and
+    /// restart count as per-worker gauges — and the live-worker total.
     fn publish_health(&self, w: u32) {
-        if let Some(obs) = self.obs {
-            let s = &self.slots[w as usize];
-            obs.worker_health(w, s.alive, s.incarnation, s.restart_attempts);
-            let alive = self.slots.iter().filter(|s| s.alive).count();
-            obs.set_gauge("cluster.workers.alive", alive as f64);
-        }
+        let s = &self.slots[w as usize];
+        let alive = self.slots.iter().filter(|s| s.alive).count();
+        let set = |name: &str, value: f64| {
+            if let Some(gauge) = self.obs.gauge(name) {
+                self.obs.set_gauge(gauge, value);
+            }
+        };
+        set(
+            &format!("cluster.worker.{w}.alive"),
+            if s.alive { 1.0 } else { 0.0 },
+        );
+        set(
+            &format!("cluster.worker.{w}.incarnation"),
+            f64::from(s.incarnation),
+        );
+        set(
+            &format!("cluster.worker.{w}.restarts"),
+            f64::from(s.restart_attempts),
+        );
+        set("cluster.workers.alive", alive as f64);
     }
 
     fn spawn_worker(&self, addr: SocketAddr, w: u32, incarnation: u32) -> std::io::Result<Child> {

@@ -29,8 +29,9 @@
 //!   [`WorkerFaultPlan`](cedar_faults::WorkerFaultPlan) kills, stalls
 //!   or corrupts chosen workers at chosen points, so the whole
 //!   recovery story runs under test, repeatably.
-//! * [`ClusterObs`] — per-worker health, restart counts and commit
-//!   latency exported through `cedar-obs`.
+//! * Observability — per-worker health, restart counts and commit
+//!   latency on a plain `cedar_obs::Obs` handle, scrapeable over HTTP
+//!   through [`MetricsServer`].
 //!
 //! # Quick start
 //!
@@ -48,7 +49,7 @@
 //!     &config,
 //!     families::MIX,
 //!     &(0..64).collect::<Vec<u64>>(),
-//!     None,
+//!     &cedar_obs::Obs::disabled(),
 //! )
 //! .unwrap();
 //! assert_eq!(report.results.len(), 64);
@@ -68,7 +69,7 @@ pub use coordinator::{
     run_cluster_sweep, ClusterConfig, ClusterError, ClusterReport, ClusterStats,
 };
 pub use journal::{CommitOrigin, JobJournal, JobRecord, JobState};
-pub use obs::{ClusterObs, MetricsServer};
+pub use obs::MetricsServer;
 pub use proto::{FromWorker, ToWorker};
 pub use registry::{maybe_worker, JobRegistry, CHAOS_ENV, ID_ENV, INCARNATION_ENV, WORKER_ENV};
 pub use ring::HashRing;

@@ -1,136 +1,45 @@
-//! Cluster observability: per-worker health and supervision counters.
+//! Cluster observability: per-worker health and supervision metrics
+//! on a plain [`cedar_obs::Obs`] handle, and a scrape endpoint for it.
 //!
-//! Mirrors the serving tier's `ServeObs` shape — a thread-safe wrapper
-//! over [`MetricsRegistry`] with every supervision metric pre-interned
-//! so exports show zeros, not missing series, before anything fails.
-//! The coordinator feeds it during a run; `prometheus()` renders the
-//! standard exposition via `cedar-obs`, and [`MetricsServer`] exposes
-//! it over plain HTTP for scrapers, exactly like the serving tier's
-//! `/metrics` endpoint.
+//! The coordinator feeds the handle during a run (a disabled handle
+//! makes every update a no-op); `Obs::prometheus` renders the standard
+//! exposition, and [`MetricsServer`] exposes it over plain HTTP for
+//! scrapers, exactly like the serving tier's `/metrics` endpoint.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use cedar_obs::export;
-use cedar_obs::metrics::MetricsRegistry;
+use cedar_obs::{HistogramId, Obs};
 
-/// Re-issue latency histogram shape: ticks from a job's first issue to
-/// its commit. 64 bins of 8 ticks covers multi-restart recoveries;
-/// the overflow bin catches pathological tails.
-const HIST_BINS: usize = 64;
-const HIST_BIN_WIDTH_TICKS: u64 = 8;
-
-/// Shared metrics for a cluster coordinator.
-#[derive(Debug)]
-pub struct ClusterObs {
-    metrics: Mutex<MetricsRegistry>,
+/// Pre-interns every supervision metric on `obs` (idempotent), so
+/// exports show zeros, not missing series, before anything fails.
+/// Returns the commit-latency histogram — ticks from a job's first
+/// issue to its commit; 64 bins of 8 ticks covers multi-restart
+/// recoveries, the overflow bin catches pathological tails — or `None`
+/// when metrics are off.
+pub(crate) fn intern_metrics(obs: &Obs) -> Option<HistogramId> {
+    for name in [
+        "cluster.jobs.dispatched",
+        "cluster.jobs.committed",
+        "cluster.jobs.cache_hits",
+        "cluster.jobs.reissued",
+        "cluster.results.stale",
+        "cluster.worker.exits",
+        "cluster.worker.hangs_reaped",
+        "cluster.worker.garbage_frames",
+        "cluster.worker.restarts",
+        "cluster.worker.lost",
+    ] {
+        obs.bump(name, 0);
+    }
+    let _ = obs.gauge("cluster.workers.alive");
+    obs.histogram("cluster.commit.latency_ticks", 64, 8)
 }
 
-impl Default for ClusterObs {
-    fn default() -> Self {
-        ClusterObs::new()
-    }
-}
-
-impl ClusterObs {
-    /// Creates the registry with every supervision metric
-    /// pre-interned.
-    #[must_use]
-    pub fn new() -> Self {
-        let mut m = MetricsRegistry::new();
-        for name in [
-            "cluster.jobs.dispatched",
-            "cluster.jobs.committed",
-            "cluster.jobs.cache_hits",
-            "cluster.jobs.reissued",
-            "cluster.results.stale",
-            "cluster.worker.exits",
-            "cluster.worker.hangs_reaped",
-            "cluster.worker.garbage_frames",
-            "cluster.worker.restarts",
-            "cluster.worker.lost",
-        ] {
-            let id = m.counter(name);
-            m.add(id, 0);
-        }
-        let _ = m.gauge("cluster.workers.alive");
-        let _ = m.histogram(
-            "cluster.commit.latency_ticks",
-            HIST_BINS,
-            HIST_BIN_WIDTH_TICKS,
-        );
-        ClusterObs {
-            metrics: Mutex::new(m),
-        }
-    }
-
-    /// Adds `n` to the counter named `name`.
-    pub fn add(&self, name: &str, n: u64) {
-        let mut m = self.metrics.lock().expect("metrics lock poisoned");
-        let id = m.counter(name);
-        m.add(id, n);
-    }
-
-    /// Adds one to the counter named `name`.
-    pub fn inc(&self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Sets the gauge named `name`.
-    pub fn set_gauge(&self, name: &str, value: f64) {
-        let mut m = self.metrics.lock().expect("metrics lock poisoned");
-        let id = m.gauge(name);
-        m.set(id, value);
-    }
-
-    /// Publishes one worker slot's health: liveness, incarnation and
-    /// restart count, as per-worker gauges.
-    pub fn worker_health(&self, worker: u32, alive: bool, incarnation: u32, restarts: u32) {
-        self.set_gauge(
-            &format!("cluster.worker.{worker}.alive"),
-            if alive { 1.0 } else { 0.0 },
-        );
-        self.set_gauge(
-            &format!("cluster.worker.{worker}.incarnation"),
-            f64::from(incarnation),
-        );
-        self.set_gauge(
-            &format!("cluster.worker.{worker}.restarts"),
-            f64::from(restarts),
-        );
-    }
-
-    /// Records one job's first-issue→commit latency in ticks.
-    pub fn commit_latency(&self, ticks: u64) {
-        let mut m = self.metrics.lock().expect("metrics lock poisoned");
-        let id = m.histogram(
-            "cluster.commit.latency_ticks",
-            HIST_BINS,
-            HIST_BIN_WIDTH_TICKS,
-        );
-        m.record(id, ticks);
-    }
-
-    /// Current value of the counter named `name`.
-    #[must_use]
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.metrics
-            .lock()
-            .expect("metrics lock poisoned")
-            .counter_value(name)
-    }
-
-    /// Renders the Prometheus exposition of every metric.
-    #[must_use]
-    pub fn prometheus(&self) -> String {
-        export::prometheus(&self.metrics.lock().expect("metrics lock poisoned"))
-    }
-}
-
-/// A minimal HTTP scrape endpoint for a coordinator's [`ClusterObs`]:
+/// A minimal HTTP scrape endpoint for a coordinator's [`Obs`]:
 /// `GET /metrics` answers the Prometheus exposition and closes, any
 /// other path is a 404. One accept thread, one connection at a time —
 /// a scraper's cadence, not a serving tier's.
@@ -142,13 +51,15 @@ pub struct MetricsServer {
 }
 
 impl MetricsServer {
-    /// Binds `addr` (use port 0 for an ephemeral port) and starts
-    /// answering scrapes of `obs` in a background thread.
+    /// Binds `addr` (use port 0 for an ephemeral port), pre-interns
+    /// the supervision metrics on `obs`, and starts answering scrapes
+    /// of it in a background thread.
     ///
     /// # Errors
     ///
     /// Returns the bind error as a description.
-    pub fn start(addr: &str, obs: Arc<ClusterObs>) -> Result<MetricsServer, String> {
+    pub fn start(addr: &str, obs: Obs) -> Result<MetricsServer, String> {
+        let _ = intern_metrics(&obs);
         let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
         let local = listener
             .local_addr()
@@ -201,7 +112,7 @@ impl Drop for MetricsServer {
     }
 }
 
-fn serve_scrape(stream: TcpStream, obs: &ClusterObs) {
+fn serve_scrape(stream: TcpStream, obs: &Obs) {
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -239,25 +150,37 @@ fn serve_scrape(stream: TcpStream, obs: &ClusterObs) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cedar_obs::export;
+    use cedar_obs::ObsConfig;
 
     #[test]
     fn supervision_metrics_are_pre_interned() {
-        let obs = ClusterObs::new();
-        let text = obs.prometheus();
+        let obs = Obs::new(ObsConfig::enabled());
+        intern_metrics(&obs);
+        let samples = export::parse_prometheus(&obs.prometheus()).unwrap();
         for series in [
-            "cluster_jobs_dispatched",
-            "cluster_worker_exits",
-            "cluster_worker_restarts",
+            "cluster.jobs.dispatched",
+            "cluster.worker.exits",
+            "cluster.worker.restarts",
+            "cluster.workers.alive",
         ] {
-            assert!(text.contains(series), "missing {series} in:\n{text}");
+            assert_eq!(
+                samples.get(&export::sanitize_name(series)),
+                Some(&0.0),
+                "{series}"
+            );
         }
+        assert_eq!(
+            samples.get("cedar_cluster_commit_latency_ticks_bucket{le=\"512\"}"),
+            Some(&0.0)
+        );
     }
 
     #[test]
     fn metrics_server_answers_scrapes_with_help_and_type() {
-        let obs = Arc::new(ClusterObs::new());
-        obs.inc("cluster.jobs.committed");
-        let server = MetricsServer::start("127.0.0.1:0", Arc::clone(&obs)).unwrap();
+        let obs = Obs::new(ObsConfig::enabled());
+        let server = MetricsServer::start("127.0.0.1:0", obs.clone()).unwrap();
+        obs.bump("cluster.jobs.committed", 1);
         let addr = server.addr();
 
         let scrape = |path: &str| -> String {
@@ -273,24 +196,14 @@ mod tests {
         assert!(reply.contains("cedar_cluster_jobs_committed 1"), "{reply}");
         assert!(reply.contains("# TYPE cedar_cluster_jobs_committed counter"));
         assert!(reply.contains("# HELP cedar_cluster_jobs_committed"));
-        // The body must round-trip through the exposition parser.
+        // The body must round-trip through the exposition parser, with
+        // the supervision series pre-interned by `start`.
         let body = reply.split("\r\n\r\n").nth(1).unwrap();
         let parsed = export::parse_prometheus(body).unwrap();
         assert_eq!(parsed.get("cedar_cluster_jobs_committed"), Some(&1.0));
+        assert_eq!(parsed.get("cedar_cluster_worker_lost"), Some(&0.0));
 
         assert!(scrape("/nope").starts_with("HTTP/1.1 404"));
         server.stop();
-    }
-
-    #[test]
-    fn worker_health_exports_per_worker_series() {
-        let obs = ClusterObs::new();
-        obs.worker_health(2, true, 3, 2);
-        obs.inc("cluster.worker.exits");
-        obs.commit_latency(17);
-        let text = obs.prometheus();
-        assert!(text.contains("cluster_worker_2_alive 1"), "{text}");
-        assert!(text.contains("cluster_worker_2_incarnation 3"), "{text}");
-        assert_eq!(obs.counter_value("cluster.worker.exits"), 1);
     }
 }

@@ -12,9 +12,10 @@ use std::path::PathBuf;
 use std::process::Command;
 use std::time::Duration;
 
-use cedar_cluster::{families, run_cluster_sweep, ClusterConfig, ClusterError, ClusterObs};
+use cedar_cluster::{families, run_cluster_sweep, ClusterConfig, ClusterError};
 use cedar_exec::run_sweep_on;
 use cedar_faults::{RetryPolicy, WorkerFaultConfig, WorkerFaultKind, WorkerFaultPlan};
+use cedar_obs::{Obs, ObsConfig};
 use cedar_snap::{CacheDir, Snapshot};
 
 const WORKER_BIN: &str = env!("CARGO_BIN_EXE_cluster_node");
@@ -45,7 +46,9 @@ fn config(workers: u32) -> ClusterConfig {
 fn clean_fleet_matches_serial_sweep() {
     let inputs: Vec<u64> = (0..24).collect();
     let serial = run_sweep_on(1, inputs.clone(), families::mix);
-    let report = run_cluster_sweep::<u64, u64>(&config(3), families::MIX, &inputs, None).unwrap();
+    let report =
+        run_cluster_sweep::<u64, u64>(&config(3), families::MIX, &inputs, &Obs::disabled())
+            .unwrap();
     assert_eq!(
         report.results, serial,
         "cluster must equal serial, bit for bit"
@@ -87,12 +90,11 @@ fn chaos_fleet_recovers_bit_identical_with_exactly_once_journal() {
     c.chaos = Some(plan);
     c.cache = Some(cache.clone());
     c.cache_namespace = "cluster.e2e.chaos/1".to_owned();
-    let obs = ClusterObs::new();
+    let obs = Obs::new(ObsConfig::enabled());
 
     let inputs: Vec<u64> = (0..24).collect();
     let serial = run_sweep_on(1, inputs.clone(), families::slow_mix);
-    let report =
-        run_cluster_sweep::<u64, u64>(&c, families::SLOW_MIX, &inputs, Some(&obs)).unwrap();
+    let report = run_cluster_sweep::<u64, u64>(&c, families::SLOW_MIX, &inputs, &obs).unwrap();
 
     // Bit-identical to the serial sweep.
     assert_eq!(report.results, serial);
@@ -140,6 +142,23 @@ fn chaos_fleet_recovers_bit_identical_with_exactly_once_journal() {
     assert!(obs.counter_value("cluster.worker.restarts") >= 3);
     let prom = obs.prometheus();
     assert!(prom.contains("cluster_worker_0_incarnation"), "{prom}");
+    // Per-worker health series for every slot, and one commit-latency
+    // sample per committed point.
+    let samples = cedar_obs::export::parse_prometheus(&prom).unwrap();
+    for w in 0..4 {
+        for field in ["alive", "incarnation", "restarts"] {
+            let series = format!("cedar_cluster_worker_{w}_{field}");
+            assert!(
+                samples.contains_key(&series),
+                "missing {series} in:\n{prom}"
+            );
+        }
+    }
+    assert_eq!(
+        samples["cedar_cluster_commit_latency_ticks_count"],
+        stats.committed as f64
+    );
+    assert_eq!(obs.counter_value("cluster.jobs.committed"), stats.committed);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -166,7 +185,7 @@ fn losing_every_worker_is_a_typed_error_not_a_hang() {
         max_delay_cycles: 10,
     };
     let inputs: Vec<u64> = (0..8).collect();
-    match run_cluster_sweep::<u64, u64>(&c, families::MIX, &inputs, None) {
+    match run_cluster_sweep::<u64, u64>(&c, families::MIX, &inputs, &Obs::disabled()) {
         Err(ClusterError::FleetLost { pending }) => {
             assert!(pending > 0, "jobs must still be pending at fleet loss")
         }
@@ -185,7 +204,8 @@ fn cluster_and_cached_sweep_share_the_same_cache_entries() {
     let mut c = config(2);
     c.cache = Some(cache.clone());
     c.cache_namespace = namespace.to_owned();
-    let report = run_cluster_sweep::<u64, u64>(&c, families::MIX, &inputs, None).unwrap();
+    let report =
+        run_cluster_sweep::<u64, u64>(&c, families::MIX, &inputs, &Obs::disabled()).unwrap();
     assert_eq!(report.stats.cache_hits, 0);
 
     // The in-process cached sweep hits every entry the fleet wrote —
@@ -197,7 +217,8 @@ fn cluster_and_cached_sweep_share_the_same_cache_entries() {
 
     // And a warm cluster run commits everything from cache without
     // dispatching a single job.
-    let rerun = run_cluster_sweep::<u64, u64>(&c, families::MIX, &inputs, None).unwrap();
+    let rerun =
+        run_cluster_sweep::<u64, u64>(&c, families::MIX, &inputs, &Obs::disabled()).unwrap();
     assert_eq!(rerun.results, report.results);
     assert_eq!(rerun.stats.cache_hits, inputs.len());
     assert_eq!(rerun.stats.dispatched, 0);
@@ -250,7 +271,7 @@ fn deterministic_job_failure_is_fatal_and_typed() {
     // An unregistered family is a deterministic failure: re-running it
     // elsewhere cannot help, so the coordinator must fail fast.
     let inputs: Vec<u64> = (0..4).collect();
-    match run_cluster_sweep::<u64, u64>(&config(2), "no.such.family/1", &inputs, None) {
+    match run_cluster_sweep::<u64, u64>(&config(2), "no.such.family/1", &inputs, &Obs::disabled()) {
         Err(ClusterError::JobFailed { reason, .. }) => {
             assert!(reason.contains("unknown job family"), "{reason}")
         }

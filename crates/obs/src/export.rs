@@ -5,8 +5,9 @@
 //! (the append-ordered [`TraceEvent`] stream, the name-sorted
 //! [`MetricsRegistry`] views), so identical simulations yield
 //! byte-identical exports. The module also carries the matching
-//! consumers used by tests and the CI smoke step: a minimal
-//! well-formedness JSON checker and a line-by-line exposition parser.
+//! consumers used by tests and the CI smoke step: a JSON
+//! well-formedness check (the [`crate::json`] parser) and a
+//! line-by-line exposition parser.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -167,160 +168,18 @@ pub fn escape_json(s: &str) -> String {
     out
 }
 
-/// Checks that `input` is a single well-formed JSON value. This is a
-/// structural validator, not a full deserialiser: it exists so the
+/// Checks that `input` is a single well-formed JSON value, so the
 /// trace binary and CI smoke step can prove the Chrome export parses
-/// without external dependencies.
+/// without external dependencies. This is [`crate::json`]'s parser
+/// with nesting bounded by [`crate::json::MAX_DEPTH`] but no length
+/// bound: a Chrome trace runs to megabytes.
 ///
 /// # Errors
 ///
 /// Returns the byte offset and a description of the first syntax
 /// error.
 pub fn validate_json(input: &str) -> Result<(), String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    let Some(&b) = bytes.get(*pos) else {
-        return Err(format!("unexpected end of input at byte {pos}"));
-    };
-    match b {
-        b'{' => parse_object(bytes, pos),
-        b'[' => parse_array(bytes, pos),
-        b'"' => parse_string(bytes, pos),
-        b't' => parse_literal(bytes, pos, "true"),
-        b'f' => parse_literal(bytes, pos, "false"),
-        b'n' => parse_literal(bytes, pos, "null"),
-        b'-' | b'0'..=b'9' => parse_number(bytes, pos),
-        other => Err(format!("unexpected byte '{}' at {pos}", other as char)),
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // consume '{'
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}"));
-        }
-        parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}"));
-        }
-        *pos += 1;
-        skip_ws(bytes, pos);
-        parse_value(bytes, pos)?;
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(&b',') => *pos += 1,
-            Some(&b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // consume '['
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(bytes, pos);
-        parse_value(bytes, pos)?;
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(&b',') => *pos += 1,
-            Some(&b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-        }
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // consume opening quote
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        *pos += 1;
-                        for _ in 0..4 {
-                            if !bytes.get(*pos).is_some_and(|c| c.is_ascii_hexdigit()) {
-                                return Err(format!("bad \\u escape at byte {pos}"));
-                            }
-                            *pos += 1;
-                        }
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-            }
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_owned())
-}
-
-fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {pos}"))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut saw_digit = false;
-    while bytes
-        .get(*pos)
-        .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        saw_digit |= bytes[*pos].is_ascii_digit();
-        *pos += 1;
-    }
-    if saw_digit {
-        Ok(())
-    } else {
-        Err(format!("bad number at byte {start}"))
-    }
+    crate::json::parse_document(input).map(drop)
 }
 
 /// Parses Prometheus text exposition back into `sample line → value`,

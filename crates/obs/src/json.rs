@@ -1,18 +1,19 @@
 //! Minimal JSON value parsing shared across the workspace.
 //!
-//! `cedar-obs` carries the repository's hand-rolled JSON *producers*
-//! and a structural validator; consumers — the serving tier's wire
-//! protocol, the `cedar-track` benchmark-history ingesters — also need
-//! the values themselves (job type, CE counts, measured rates) out of
-//! a document. This parser mirrors the validator's structure byte for
-//! byte but builds a [`Json`] tree. Output still goes through
+//! `cedar-obs` carries the repository's hand-rolled JSON *producers*;
+//! consumers — the serving tier's wire protocol, the `cedar-track`
+//! benchmark-history ingesters — also need the values themselves (job
+//! type, CE counts, measured rates) out of a document. This is the
+//! workspace's one JSON grammar: [`crate::export::validate_json`] is a
+//! call into the same parser core. Output still goes through
 //! [`crate::export::escape_json`] — one escaping discipline across the
 //! whole workspace.
 //!
 //! The dialect is exactly RFC 8259 minus two deliberate bounds chosen
 //! for a network-facing parser: nesting beyond [`MAX_DEPTH`] and
 //! inputs beyond [`MAX_LEN`] bytes are rejected, so a hostile request
-//! line cannot blow the parse stack or memory.
+//! line cannot blow the parse stack or memory. Every byte of the input
+//! is scanned once, so parse time is linear in its length.
 
 use std::collections::BTreeMap;
 
@@ -100,12 +101,18 @@ pub fn parse(input: &str) -> Result<Json, String> {
     if input.len() > MAX_LEN {
         return Err(format!("input of {} bytes exceeds {MAX_LEN}", input.len()));
     }
-    let bytes = input.as_bytes();
+    parse_document(input)
+}
+
+/// [`parse`] without the [`MAX_LEN`] wire bound, for trusted documents
+/// of any size (a Chrome trace export runs to megabytes). Nesting is
+/// still bounded by [`MAX_DEPTH`].
+pub(crate) fn parse_document(input: &str) -> Result<Json, String> {
     let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    skip_ws(input.as_bytes(), &mut pos);
+    let value = parse_value(input, &mut pos, 0)?;
+    skip_ws(input.as_bytes(), &mut pos);
+    if pos != input.len() {
         return Err(format!("trailing data at byte {pos}"));
     }
     Ok(value)
@@ -117,26 +124,28 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_value(src: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
     if depth > MAX_DEPTH {
         return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
     }
+    let bytes = src.as_bytes();
     let Some(&b) = bytes.get(*pos) else {
         return Err(format!("unexpected end of input at byte {pos}"));
     };
     match b {
-        b'{' => parse_object(bytes, pos, depth),
-        b'[' => parse_array(bytes, pos, depth),
-        b'"' => parse_string(bytes, pos).map(Json::Str),
+        b'{' => parse_object(src, pos, depth),
+        b'[' => parse_array(src, pos, depth),
+        b'"' => parse_string(src, pos).map(Json::Str),
         b't' => parse_literal(bytes, pos, "true").map(|()| Json::Bool(true)),
         b'f' => parse_literal(bytes, pos, "false").map(|()| Json::Bool(false)),
         b'n' => parse_literal(bytes, pos, "null").map(|()| Json::Null),
-        b'-' | b'0'..=b'9' => parse_number(bytes, pos),
+        b'-' | b'0'..=b'9' => parse_number(src, pos),
         other => Err(format!("unexpected byte '{}' at {pos}", other as char)),
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_object(src: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = src.as_bytes();
     *pos += 1; // consume '{'
     let mut members = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -149,14 +158,14 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Str
         if bytes.get(*pos) != Some(&b'"') {
             return Err(format!("expected object key at byte {pos}"));
         }
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(src, pos)?;
         skip_ws(bytes, pos);
         if bytes.get(*pos) != Some(&b':') {
             return Err(format!("expected ':' at byte {pos}"));
         }
         *pos += 1;
         skip_ws(bytes, pos);
-        let value = parse_value(bytes, pos, depth + 1)?;
+        let value = parse_value(src, pos, depth + 1)?;
         members.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -170,7 +179,8 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Str
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_array(src: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = src.as_bytes();
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -180,7 +190,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
     }
     loop {
         skip_ws(bytes, pos);
-        items.push(parse_value(bytes, pos, depth + 1)?);
+        items.push(parse_value(src, pos, depth + 1)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(&b',') => *pos += 1,
@@ -193,16 +203,24 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+/// Scans a string literal in one pass: runs of unescaped characters
+/// are copied as whole `&str` slices (a quote or backslash is ASCII,
+/// so it always sits on a character boundary), escapes are decoded in
+/// place. Raw control characters are rejected, as RFC 8259 requires.
+fn parse_string(src: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = src.as_bytes();
     *pos += 1; // consume opening quote
     let mut out = String::new();
+    let mut run = *pos;
     while let Some(&b) = bytes.get(*pos) {
         match b {
             b'"' => {
+                out.push_str(&src[run..*pos]);
                 *pos += 1;
                 return Ok(out);
             }
             b'\\' => {
+                out.push_str(&src[run..*pos]);
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -230,15 +248,10 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     _ => return Err(format!("bad escape at byte {pos}")),
                 }
                 *pos += 1;
+                run = *pos;
             }
-            _ => {
-                // Advance one whole UTF-8 scalar, not one byte.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {pos}"))?;
-                let c = rest.chars().next().expect("non-empty remainder");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            0x00..=0x1f => return Err(format!("unescaped control character at byte {pos}")),
+            _ => *pos += 1,
         }
     }
     Err("unterminated string".to_owned())
@@ -253,21 +266,52 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String>
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Scans exactly RFC 8259's `number` production,
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, and stops
+/// at its end: whatever follows (`01`'s second digit, `1.2.3`'s
+/// second dot) is left for the caller to reject as trailing data.
+fn parse_number(src: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = src.as_bytes();
     let start = *pos;
+    let bad = || format!("bad number at byte {start}");
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while bytes
-        .get(*pos)
-        .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
+    match bytes.get(*pos) {
+        Some(b'0') => *pos += 1,
+        Some(b'1'..=b'9') => {
+            skip_digits(bytes, pos);
+        }
+        _ => return Err(bad()),
+    }
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if skip_digits(bytes, pos) == 0 {
+            return Err(bad());
+        }
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if skip_digits(bytes, pos) == 0 {
+            return Err(bad());
+        }
+    }
+    src[start..*pos]
+        .parse::<f64>()
+        .map(Json::Num)
+        .map_err(|_| bad())
+}
+
+/// Advances past a run of ASCII digits, returning how many there were.
+fn skip_digits(bytes: &[u8], pos: &mut usize) -> usize {
+    let from = *pos;
+    while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("digits are ASCII");
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("bad number at byte {start}"))
+    *pos - from
 }
 
 #[cfg(test)]
@@ -297,6 +341,10 @@ mod tests {
     fn rejects_garbage_like_the_obs_validator() {
         for bad in ["{\"a\":", "[1,2,]", "{\"a\":1} extra", "\"open", "{broken}"] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
+            assert!(
+                crate::export::validate_json(bad).is_err(),
+                "{bad:?} must not validate"
+            );
         }
         assert!(parse("[1, 2, {\"k\": [true, null, -3.5e2]}]").is_ok());
     }
@@ -305,8 +353,11 @@ mod tests {
     fn rejects_hostile_depth_and_length() {
         let deep = "[".repeat(MAX_DEPTH + 2) + &"]".repeat(MAX_DEPTH + 2);
         assert!(parse(&deep).is_err());
+        assert!(crate::export::validate_json(&deep).is_err());
         let long = format!("\"{}\"", "x".repeat(MAX_LEN));
         assert!(parse(&long).is_err());
+        // The length bound is the wire's, not the grammar's.
+        assert!(crate::export::validate_json(&long).is_ok());
     }
 
     #[test]
@@ -316,6 +367,58 @@ mod tests {
         assert_eq!(parse("4.5").unwrap().as_u64(), None);
         assert_eq!(parse("-1").unwrap().as_u64(), None);
         assert_eq!(parse("7").unwrap().as_u64(), Some(7));
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_production_exactly() {
+        let accept: [(&str, f64); 12] = [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("7", 7.0),
+            ("-12", -12.0),
+            ("0.5", 0.5),
+            ("-0.25", -0.25),
+            ("10.0", 10.0),
+            ("1e3", 1000.0),
+            ("1E+3", 1000.0),
+            ("25e-1", 2.5),
+            ("-1.5e2", -150.0),
+            ("0e0", 0.0),
+        ];
+        for (text, want) in accept {
+            assert_eq!(parse(text).unwrap().as_f64(), Some(want), "{text:?}");
+            crate::export::validate_json(text).unwrap();
+        }
+        let reject = [
+            "01", "00", "-01", "1.", "-.5", ".5", "+1", "--1", "-", "1e", "1e+", "1.e3", "1.2.3",
+            "0x10", "1e2.5", "Infinity", "NaN", "[01]", "[1.]",
+        ];
+        for text in reject {
+            assert!(parse(text).is_err(), "{text:?} must not parse");
+            assert!(
+                crate::export::validate_json(text).is_err(),
+                "{text:?} must not validate"
+            );
+        }
+    }
+
+    #[test]
+    fn strings_scan_in_linear_time_and_keep_multibyte_text() {
+        // A string value filling the whole wire bound parses (the old
+        // per-character re-validation of the remaining input made this
+        // quadratic: tens of milliseconds per line).
+        let body = "é".repeat((MAX_LEN - 16) / 2);
+        let doc = format!("{{\"s\":\"{body}\"}}");
+        assert!(doc.len() <= MAX_LEN && doc.len() > 60 * 1024);
+        assert_eq!(
+            parse(&doc).unwrap().get("s").unwrap().as_str(),
+            Some(body.as_str())
+        );
+        let mixed = parse(r#""a\u00e9b→c\"d""#).unwrap();
+        assert_eq!(mixed.as_str(), Some("a\u{e9}b→c\"d"));
+        // RFC 8259: control characters inside strings must be escaped.
+        assert!(parse("\"tab\there\"").is_err());
+        assert!(parse("\"tab\\there\"").is_ok());
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //! Everything hangs off an [`Obs`] handle. A disabled handle is a
 //! `None` — each instrumentation point costs one branch and touches no
 //! shared state, so runs with [`ObsConfig::disabled`] reproduce
-//! un-instrumented results bit for bit. The simulator is
-//! single-threaded, so enabled handles share one
-//! [`Rc<RefCell<ObsInner>>`].
+//! un-instrumented results bit for bit. Enabled handles share one
+//! [`Arc<Mutex<ObsInner>>`], so the same handle serves the
+//! single-threaded simulator, the serving tier's reactors and worker
+//! pool, and the cluster coordinator; every call takes the lock once.
 //!
 //! ```
 //! use cedar_obs::{Obs, ObsConfig};
@@ -47,8 +48,7 @@ pub mod json;
 pub mod metrics;
 pub mod trace;
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 pub use config::ObsConfig;
 pub use metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
@@ -65,14 +65,14 @@ pub struct ObsInner {
     pub trace: TraceSink,
 }
 
-/// A cloneable telemetry handle.
+/// A cloneable, thread-safe telemetry handle.
 ///
 /// Components store one and call the convenience methods below at
 /// their instrumentation points. [`Obs::disabled`] carries no state at
 /// all: every method is a single `Option` branch that does nothing, so
 /// disabled runs are bit-identical to un-instrumented ones.
 #[derive(Debug, Clone, Default)]
-pub struct Obs(Option<Rc<RefCell<ObsInner>>>);
+pub struct Obs(Option<Arc<Mutex<ObsInner>>>);
 
 impl Obs {
     /// Creates a handle for `config`. A fully disabled config yields a
@@ -82,7 +82,7 @@ impl Obs {
         if config.is_disabled() {
             return Obs(None);
         }
-        Obs(Some(Rc::new(RefCell::new(ObsInner {
+        Obs(Some(Arc::new(Mutex::new(ObsInner {
             config,
             metrics: MetricsRegistry::new(),
             trace: TraceSink::new(),
@@ -104,17 +104,13 @@ impl Obs {
     /// Whether span tracing is live on this handle.
     #[must_use]
     pub fn tracing_enabled(&self) -> bool {
-        self.0
-            .as_ref()
-            .is_some_and(|inner| inner.borrow().config.tracing)
+        self.with(|inner| inner.config.tracing) == Some(true)
     }
 
     /// Whether metrics collection is live on this handle.
     #[must_use]
     pub fn metrics_enabled(&self) -> bool {
-        self.0
-            .as_ref()
-            .is_some_and(|inner| inner.borrow().config.metrics)
+        self.with(|inner| inner.config.metrics) == Some(true)
     }
 
     // ---- metrics -----------------------------------------------------
@@ -122,12 +118,8 @@ impl Obs {
     /// Interns a counter. `None` when metrics are off — callers cache
     /// the `Option<CounterId>` and the disabled case stays branch-only.
     pub fn counter(&self, name: &str) -> Option<CounterId> {
-        let inner = self.0.as_ref()?;
-        let mut inner = inner.borrow_mut();
-        if !inner.config.metrics {
-            return None;
-        }
-        Some(inner.metrics.counter(name))
+        self.with_mut(|inner| inner.config.metrics.then(|| inner.metrics.counter(name)))
+            .flatten()
     }
 
     /// Adds one to an interned counter.
@@ -137,99 +129,85 @@ impl Obs {
 
     /// Adds `n` to an interned counter.
     pub fn add(&self, id: CounterId, n: u64) {
-        if let Some(inner) = self.0.as_ref() {
-            inner.borrow_mut().metrics.add(id, n);
-        }
+        self.with_mut(|inner| inner.metrics.add(id, n));
     }
 
     /// Adds `n` to the counter named `name`, interning on first use.
     /// For cold paths where caching a [`CounterId`] isn't worth it.
     pub fn bump(&self, name: &str, n: u64) {
-        if let Some(inner) = self.0.as_ref() {
-            let mut inner = inner.borrow_mut();
+        self.with_mut(|inner| {
             if inner.config.metrics {
                 let id = inner.metrics.counter(name);
                 inner.metrics.add(id, n);
             }
-        }
+        });
     }
 
     /// Current value of the counter named `name` (0 when disabled or
     /// absent).
     #[must_use]
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |inner| inner.borrow().metrics.counter_value(name))
+        self.with(|inner| inner.metrics.counter_value(name))
+            .unwrap_or(0)
     }
 
     /// Interns a gauge (`None` when metrics are off).
     pub fn gauge(&self, name: &str) -> Option<GaugeId> {
-        let inner = self.0.as_ref()?;
-        let mut inner = inner.borrow_mut();
-        if !inner.config.metrics {
-            return None;
-        }
-        Some(inner.metrics.gauge(name))
+        self.with_mut(|inner| inner.config.metrics.then(|| inner.metrics.gauge(name)))
+            .flatten()
     }
 
     /// Sets an interned gauge.
     pub fn set_gauge(&self, id: GaugeId, value: f64) {
-        if let Some(inner) = self.0.as_ref() {
-            inner.borrow_mut().metrics.set(id, value);
-        }
+        self.with_mut(|inner| inner.metrics.set(id, value));
     }
 
     /// Interns a histogram (`None` when metrics are off).
     pub fn histogram(&self, name: &str, bins: usize, bin_width: u64) -> Option<HistogramId> {
-        let inner = self.0.as_ref()?;
-        let mut inner = inner.borrow_mut();
-        if !inner.config.metrics {
-            return None;
-        }
-        Some(inner.metrics.histogram(name, bins, bin_width))
+        self.with_mut(|inner| {
+            inner
+                .config
+                .metrics
+                .then(|| inner.metrics.histogram(name, bins, bin_width))
+        })
+        .flatten()
     }
 
     /// Records a sample into an interned histogram.
     pub fn record(&self, id: HistogramId, sample: u64) {
-        if let Some(inner) = self.0.as_ref() {
-            inner.borrow_mut().metrics.record(id, sample);
-        }
+        self.with_mut(|inner| inner.metrics.record(id, sample));
     }
 
     /// Records `sample` into an interned histogram `n` times, under one
-    /// borrow. Each repetition is a full `record`: the streaming
+    /// lock. Each repetition is a full `record`: the streaming
     /// moments are `f64`, so `n` samples have no bit-identical closed
     /// form.
     pub fn record_repeated(&self, id: HistogramId, sample: u64, n: u64) {
-        if let Some(inner) = self.0.as_ref() {
-            let mut inner = inner.borrow_mut();
+        self.with_mut(|inner| {
             for _ in 0..n {
                 inner.metrics.record(id, sample);
             }
-        }
+        });
     }
 
     // ---- tracing -----------------------------------------------------
 
     /// Opens a span on track `(pid, tid)` if tracing is live.
     pub fn span_begin(&self, pid: u64, tid: u64, name: &'static str, at: u64) {
-        if let Some(inner) = self.0.as_ref() {
-            let mut inner = inner.borrow_mut();
+        self.with_mut(|inner| {
             if inner.config.tracing {
                 inner.trace.begin(pid, tid, name, at);
             }
-        }
+        });
     }
 
     /// Closes a span on track `(pid, tid)` if tracing is live.
     pub fn span_end(&self, pid: u64, tid: u64, name: &'static str, at: u64) {
-        if let Some(inner) = self.0.as_ref() {
-            let mut inner = inner.borrow_mut();
+        self.with_mut(|inner| {
             if inner.config.tracing {
                 inner.trace.end(pid, tid, name, at);
             }
-        }
+        });
     }
 
     /// Records an instant marker if tracing is live.
@@ -241,28 +219,36 @@ impl Obs {
         at: u64,
         arg: Option<(&'static str, u64)>,
     ) {
-        if let Some(inner) = self.0.as_ref() {
-            let mut inner = inner.borrow_mut();
+        self.with_mut(|inner| {
             if inner.config.tracing {
                 inner.trace.instant(pid, tid, name, at, arg);
             }
-        }
+        });
     }
 
     /// `(name, tid)` of the most recently opened span, for watchdog
     /// diagnostics.
     #[must_use]
     pub fn last_span(&self) -> Option<(&'static str, u64)> {
-        self.0
-            .as_ref()
-            .and_then(|inner| inner.borrow().trace.last_span())
+        self.with(|inner| inner.trace.last_span()).flatten()
     }
 
     // ---- export ------------------------------------------------------
 
-    /// Runs `f` over the inner state, if enabled.
+    /// Runs `f` over the inner state under the lock, if enabled.
+    /// `f` must not call back into this handle: the lock is held.
     pub fn with<R>(&self, f: impl FnOnce(&ObsInner) -> R) -> Option<R> {
-        self.0.as_ref().map(|inner| f(&inner.borrow()))
+        self.with_mut(|inner| f(inner))
+    }
+
+    /// Runs `f` over the mutable inner state under the lock, if
+    /// enabled — every method above is one call of this, and a caller
+    /// that must make several updates atomically (e.g. record a whole
+    /// begin/end span pair, or none) makes them in one `f`. `f` must
+    /// not call back into this handle: the lock is held.
+    #[inline]
+    pub fn with_mut<R>(&self, f: impl FnOnce(&mut ObsInner) -> R) -> Option<R> {
+        self.0.as_deref().map(|inner| locked(inner, f))
     }
 
     /// The Chrome trace-event JSON for everything recorded so far
@@ -291,6 +277,19 @@ impl Obs {
         self.with(|inner| trace::validate_events(inner.trace.events()))
             .unwrap_or(Ok(()))
     }
+}
+
+/// Runs `f` under `inner`'s lock. Kept out of line so that each
+/// instrumentation point compiles to a `None` check and a call: the
+/// lock's inlined fast path at every call site would grow the hot
+/// loops of runs that never enable telemetry. A panic elsewhere while
+/// the lock was held leaves telemetry usable: each method's update is
+/// a single append or store, so a poisoned state is still a consistent
+/// one (only a [`Obs::with_mut`] closure that panics midway can leave
+/// its own update half done).
+#[inline(never)]
+fn locked<R>(inner: &Mutex<ObsInner>, f: impl FnOnce(&mut ObsInner) -> R) -> R {
+    f(&mut inner.lock().unwrap_or_else(PoisonError::into_inner))
 }
 
 #[cfg(test)]
@@ -336,6 +335,46 @@ mod tests {
         assert_eq!(obs.with(|i| i.trace.len()).unwrap(), 0);
         obs.bump("c", 2);
         assert_eq!(obs.counter_value("c"), 2);
+    }
+
+    #[test]
+    fn handle_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Obs>();
+    }
+
+    #[test]
+    fn concurrent_bumps_reach_an_exact_total() {
+        let obs = Obs::new(ObsConfig::enabled());
+        let id = obs.counter("shared.hits").unwrap();
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let obs = obs.clone();
+                scope.spawn(move || {
+                    for i in 0..10_000 {
+                        if (i + t) % 2 == 0 {
+                            obs.inc(id);
+                        } else {
+                            obs.bump("shared.hits", 1);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(obs.counter_value("shared.hits"), 40_000);
+    }
+
+    #[test]
+    fn with_mut_records_atomically() {
+        let obs = Obs::new(ObsConfig::enabled());
+        let recorded = obs.with_mut(|inner| {
+            inner.trace.begin(1, 7, "queue", 10);
+            inner.trace.end(1, 7, "queue", 40);
+            inner.trace.len()
+        });
+        assert_eq!(recorded, Some(2));
+        obs.validate_trace().unwrap();
+        assert_eq!(Obs::disabled().with_mut(|inner| inner.trace.len()), None);
     }
 
     #[test]

@@ -23,9 +23,15 @@
 //! `b"CSRV"` binary stream, `b'G'` an HTTP scrape (`GET /metrics`),
 //! anything else the line-JSON protocol — so all three coexist on one
 //! listener with zero configuration.
+//!
+//! Every assembler is bounded: a binary frame by its payload cap, a
+//! JSON line and an HTTP header block by [`MAX_LEN`] bytes. Text
+//! assemblers scan only newly arrived bytes for the newline, so a line
+//! trickled in small reads costs time linear in its length.
 
 use std::time::{Duration, Instant};
 
+use crate::json::MAX_LEN;
 use crate::proto::{FrameScanner, ProtoError, Request, MAX_REQUEST_PAYLOAD};
 
 /// Reactor-wide identifier of one connection.
@@ -98,10 +104,38 @@ enum Assembler {
         buf: Vec<u8>,
     },
     Http {
+        /// The header block so far, request line included.
         buf: Vec<u8>,
+        /// Bytes of `buf` already split into complete lines.
+        consumed: usize,
         request_line: Option<String>,
         done: bool,
     },
+}
+
+/// Splits the complete lines out of `buf[from..]`, each trimmed, and
+/// returns them with the offset just past the last newline. Bytes
+/// before `scan_from` are known to hold no newline, so each call scans
+/// only what arrived since the last one.
+fn split_lines(buf: &[u8], from: usize, scan_from: usize) -> (Vec<String>, usize) {
+    let mut lines = Vec::new();
+    let mut start = from;
+    let mut at = scan_from;
+    while let Some(off) = buf[at..].iter().position(|&b| b == b'\n') {
+        let nl = at + off;
+        lines.push(String::from_utf8_lossy(&buf[start..nl]).trim().to_owned());
+        start = nl + 1;
+        at = start;
+    }
+    (lines, start)
+}
+
+/// The typed error for a text request that outgrew [`MAX_LEN`].
+fn oversize(len: usize) -> ProtoError {
+    ProtoError::Oversize {
+        declared: len as u64,
+        cap: MAX_LEN as u64,
+    }
 }
 
 /// The socket-free half of one connection. See the module docs.
@@ -174,8 +208,10 @@ impl Conn {
     /// # Errors
     ///
     /// A typed [`ProtoError`] the moment a binary stream turns to
-    /// garbage; the connection must be answered (best effort) and
-    /// closed — stream state past the error is unreliable.
+    /// garbage, or [`ProtoError::Oversize`] once a JSON line or an HTTP
+    /// header block exceeds [`MAX_LEN`] bytes; the connection must be
+    /// answered (best effort) and closed — stream state past the error
+    /// is unreliable.
     pub fn on_bytes(&mut self, bytes: &[u8], now: Instant) -> Result<Vec<WireRequest>, ProtoError> {
         if bytes.is_empty() {
             return Ok(Vec::new());
@@ -185,6 +221,7 @@ impl Conn {
                 b'C' => Assembler::Binary(FrameScanner::new(MAX_REQUEST_PAYLOAD)),
                 b'G' => Assembler::Http {
                     buf: Vec::new(),
+                    consumed: 0,
                     request_line: None,
                     done: false,
                 },
@@ -207,13 +244,20 @@ impl Conn {
                 };
             }
             Assembler::Line { buf } => {
+                let scan_from = buf.len();
                 buf.extend_from_slice(bytes);
-                while let Some(nl) = buf.iter().position(|&b| b == b'\n') {
-                    let raw: Vec<u8> = buf.drain(..=nl).collect();
-                    let line = String::from_utf8_lossy(&raw).trim().to_owned();
+                let (lines, consumed) = split_lines(buf, 0, scan_from);
+                buf.drain(..consumed);
+                for line in lines {
+                    if line.len() > MAX_LEN {
+                        return Err(oversize(line.len()));
+                    }
                     if !line.is_empty() {
                         out.push(WireRequest::Line(line));
                     }
+                }
+                if buf.len() > MAX_LEN {
+                    return Err(oversize(buf.len()));
                 }
                 self.partial_since = match (buf.is_empty(), self.partial_since) {
                     (true, _) => None,
@@ -223,6 +267,7 @@ impl Conn {
             }
             Assembler::Http {
                 buf,
+                consumed,
                 request_line,
                 done,
             } => {
@@ -231,23 +276,27 @@ impl Conn {
                     // bytes (a keep-alive attempt) are ignored.
                     return Ok(out);
                 }
+                let scan_from = buf.len();
                 buf.extend_from_slice(bytes);
-                while let Some(nl) = buf.iter().position(|&b| b == b'\n') {
-                    let raw: Vec<u8> = buf.drain(..=nl).collect();
-                    let line = String::from_utf8_lossy(&raw).trim().to_owned();
+                let (lines, end) = split_lines(buf, *consumed, scan_from);
+                *consumed = end;
+                for line in lines {
                     if request_line.is_none() {
                         *request_line = Some(line);
                     } else if line.is_empty() {
                         // Blank line: headers done, emit the request.
-                        let first = request_line.clone().expect("request line recorded");
+                        let first = request_line.as_deref().expect("request line recorded");
                         let path = first.split_whitespace().nth(1).unwrap_or("/").to_owned();
                         out.push(WireRequest::Http(path));
                         *done = true;
-                        buf.clear();
+                        *buf = Vec::new();
                         break;
                     }
                 }
-                self.partial_since = if *done || (buf.is_empty() && request_line.is_none()) {
+                if buf.len() > MAX_LEN {
+                    return Err(oversize(buf.len()));
+                }
+                self.partial_since = if *done {
                     None
                 } else {
                     // Mid-header counts as a partial request: a scraper
@@ -499,6 +548,68 @@ mod tests {
             .on_bytes(b"GET / HTTP/1.1\r\n\r\n", now)
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn lines_assemble_across_reads_up_to_the_bound() {
+        let now = Instant::now();
+        let mut c = Conn::new(10);
+        // A line trickled in small reads, then several in one read.
+        let long = format!("{{\"pad\":\"{}\"}}", "x".repeat(MAX_LEN - 10));
+        assert_eq!(long.len(), MAX_LEN);
+        for chunk in long.as_bytes().chunks(4096) {
+            assert!(c.on_bytes(chunk, now).unwrap().is_empty());
+        }
+        let reqs = c.on_bytes(b"\na\nb\r\n\nc", now).unwrap();
+        assert_eq!(
+            reqs,
+            vec![
+                WireRequest::Line(long),
+                WireRequest::Line("a".into()),
+                WireRequest::Line("b".into()),
+            ]
+        );
+        assert_eq!(
+            c.on_bytes(b"\n", now).unwrap(),
+            vec![WireRequest::Line("c".into())]
+        );
+    }
+
+    #[test]
+    fn overlong_lines_and_headers_are_typed_errors() {
+        let now = Instant::now();
+        // A partial line past the bound, with no newline in sight.
+        let mut c = Conn::new(11);
+        for _ in 0..MAX_LEN / 4096 {
+            c.on_bytes(&[b'x'; 4096], now).unwrap();
+        }
+        let err = c.on_bytes(b"y", now).unwrap_err();
+        assert!(
+            matches!(err, ProtoError::Oversize { declared, cap }
+                if declared == MAX_LEN as u64 + 1 && cap == MAX_LEN as u64),
+            "{err:?}"
+        );
+        // A complete line past the bound, arriving in one read.
+        let mut c = Conn::new(12);
+        let mut line = vec![b'x'; MAX_LEN + 1];
+        line.push(b'\n');
+        assert!(matches!(
+            c.on_bytes(&line, now),
+            Err(ProtoError::Oversize { .. })
+        ));
+        // An HTTP header block that never ends, one short line at a
+        // time: each line is small, the block is not.
+        let mut h = Conn::new(13);
+        h.on_bytes(b"GET /metrics HTTP/1.1\r\n", now).unwrap();
+        let header = b"X-Pad: 0123456789abcdef0123456789abcdef\r\n";
+        let mut result = Ok(Vec::new());
+        for _ in 0..=MAX_LEN / header.len() {
+            result = h.on_bytes(header, now);
+            if result.is_err() {
+                break;
+            }
+        }
+        assert!(matches!(result, Err(ProtoError::Oversize { .. })));
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!   degraded-mode outcomes (`cedar-faults` semantics); even a
 //!   watchdog stall is an `error` reply with a reason.
 //! - **Everything is observable.** Queue depth, wait/service/latency
-//!   histograms and per-request spans flow through `cedar-obs` and
-//!   export as Prometheus text or a Chrome trace.
+//!   histograms and per-request spans flow through one `cedar-obs`
+//!   handle ([`ServerHandle::obs`]) and export as Prometheus text or a
+//!   Chrome trace.
 //!
 //! The `serve` binary runs the server; the `loadgen` binary drives it
 //! (dedup burst, fault mix, closed- and open-loop load) and writes
@@ -40,10 +41,8 @@ pub mod queue;
 pub(crate) mod reactor;
 pub mod server;
 pub mod sys;
-pub mod telemetry;
 
 pub use config::ServeConfig;
 pub use job::{JobError, JobOutcome, JobSpec};
 pub use loadgen::{LoadReport, LoadgenConfig};
 pub use server::{start, JobReply, ServerHandle};
-pub use telemetry::ServeObs;

@@ -56,9 +56,11 @@ pub enum ProtoError {
     /// The envelope was malformed: wrong magic, version skew, checksum
     /// mismatch, truncation or trailing bytes.
     Corrupt(SnapError),
-    /// The envelope declared a payload longer than the cap.
+    /// The envelope declared a payload longer than the cap — or, from
+    /// [`crate::conn::Conn`], a JSON line or HTTP header block grew
+    /// past [`crate::json::MAX_LEN`] bytes.
     Oversize {
-        /// Declared payload length.
+        /// Declared payload length (for a text request: bytes buffered).
         declared: u64,
         /// The cap it exceeded.
         cap: u64,

@@ -36,6 +36,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::conn::{Conn, ConnProto, ConnToken, Reap};
+use crate::json::MAX_LEN;
 use crate::proto::{ErrStatus, Response};
 use crate::server::{handle_wire_request, Shared};
 use crate::sys::{poll_fds, PollFd, POLLIN, POLLOUT};
@@ -179,7 +180,7 @@ impl Reactor {
                 // back off a beat rather than spin on the error.
                 std::thread::sleep(Duration::from_millis(1));
             }
-            self.shared.obs.inc("serve.reactor.wakeups");
+            self.shared.obs.bump("serve.reactor.wakeups", 1);
             let now = Instant::now();
 
             // 1. Wakeup pipe + inbox. The pipe is drained fully so one
@@ -284,7 +285,7 @@ impl Reactor {
         // stalls to every latency sample.
         let _ = stream.set_nodelay(true);
         let token = self.shared.mint_token();
-        self.shared.obs.inc("serve.conns.accepted");
+        self.shared.obs.bump("serve.conns.accepted", 1);
         self.shared.conn_opened();
         self.conns.insert(
             token,
@@ -351,7 +352,7 @@ impl Reactor {
         for (token, entry) in &mut self.conns {
             match entry.conn.tick(now, line_timeout, write_timeout) {
                 Some(Reap::StalledRead) => {
-                    self.shared.obs.inc("serve.conn.reaped_read");
+                    self.shared.obs.bump("serve.conn.reaped_read", 1);
                     match entry.conn.proto() {
                         ConnProto::Line => entry.conn.respond(
                             b"{\"status\":\"timeout\",\"reason\":\"request line stalled; connection reaped\"}\n",
@@ -377,7 +378,7 @@ impl Reactor {
                     }
                 }
                 Some(Reap::StalledWrite) => {
-                    self.shared.obs.inc("serve.conn.reaped_write");
+                    self.shared.obs.bump("serve.conn.reaped_write", 1);
                     to_close.push(*token);
                 }
                 None => {}
@@ -411,18 +412,33 @@ fn pump_read(shared: &Arc<Shared>, reactor_id: usize, entry: &mut Entry, now: In
                         }
                     }
                     Err(err) => {
-                        // Typed garbage: answer with a best-effort
-                        // error frame and close — the stream position
-                        // past a corrupt frame is unreliable.
-                        shared.obs.inc("serve.proto.corrupt");
-                        shared.obs.inc("serve.responses.invalid");
-                        let frame = Response::Error {
-                            corr: 0,
-                            status: ErrStatus::Invalid,
-                            reason: err.to_string(),
-                        }
-                        .encode();
-                        entry.conn.respond(&frame, now);
+                        // Typed garbage or an oversized request: answer
+                        // best effort in the connection's protocol and
+                        // close — the stream position past it is
+                        // unreliable.
+                        shared.obs.bump("serve.proto.corrupt", 1);
+                        let reply = match entry.conn.proto() {
+                            ConnProto::Line => {
+                                shared.obs.bump("serve.responses.invalid", 1);
+                                format!(
+                                    "{{\"status\":\"invalid\",\"reason\":\"request line exceeds {MAX_LEN} bytes\"}}\n"
+                                )
+                                .into_bytes()
+                            }
+                            ConnProto::Http => b"HTTP/1.1 431 Request Header Fields Too Large\r\n\
+                                Content-Length: 0\r\nConnection: close\r\n\r\n"
+                                .to_vec(),
+                            ConnProto::Binary | ConnProto::Unknown => {
+                                shared.obs.bump("serve.responses.invalid", 1);
+                                Response::Error {
+                                    corr: 0,
+                                    status: ErrStatus::Invalid,
+                                    reason: err.to_string(),
+                                }
+                                .encode()
+                            }
+                        };
+                        entry.conn.respond(&reply, now);
                         entry.conn.mark_close_after_flush();
                         return pump_write(entry, now);
                     }

@@ -51,6 +51,7 @@ use std::time::{Duration, Instant};
 
 use cedar_exec::{run_sweep_streaming_on, CancelToken};
 use cedar_obs::export::escape_json;
+use cedar_obs::{GaugeId, HistogramId, Obs, ObsConfig};
 use cedar_snap::{CacheDir, Snapshot};
 
 use crate::config::ServeConfig;
@@ -60,7 +61,47 @@ use crate::json::{self, Json};
 use crate::proto::{ErrStatus, Request, Response};
 use crate::queue::{JobQueue, JobTicket, PushError};
 use crate::reactor::{Reactor, ReactorLink, ReactorMsg};
-use crate::telemetry::ServeObs;
+
+/// Trace track id for the request path (tid is the job seq).
+const TRACE_PID: u64 = 1;
+
+/// Latency histogram shape: 64 bins of 500 µs covers 0–32 ms
+/// fine-grained, with the overflow bin catching the saturated tail.
+const HIST_BINS: usize = 64;
+const HIST_BIN_WIDTH_US: u64 = 500;
+
+/// Trace events the server keeps: one executed job adds two span
+/// pairs, so this holds the first ~16k jobs' spans. Later spans are
+/// counted in `serve.trace.dropped` instead, which bounds both the
+/// trace's memory and how long a `/trace` render holds the lock.
+const TRACE_CAP: usize = 65_536;
+
+/// Every serve counter, pre-interned so exports show zeros instead of
+/// missing series before traffic arrives. Naming follows the
+/// workspace's dot-path convention under `serve.`, so
+/// `rollup("serve.responses.")` totals every response produced.
+const COUNTERS: [&str; 20] = [
+    "serve.requests.received",
+    "serve.responses.ok",
+    "serve.responses.degraded",
+    "serve.responses.rejected",
+    "serve.responses.expired",
+    "serve.responses.cancelled",
+    "serve.responses.error",
+    "serve.responses.invalid",
+    "serve.jobs.executed",
+    "serve.jobs.expired",
+    "serve.dedup.coalesced",
+    "serve.cache.hits",
+    "serve.cache.stores",
+    "serve.queue.rejected",
+    "serve.conn.reaped_read",
+    "serve.conn.reaped_write",
+    "serve.conns.accepted",
+    "serve.reactor.wakeups",
+    "serve.proto.corrupt",
+    "serve.trace.dropped",
+];
 
 /// The terminal state of one request.
 #[derive(Debug, Clone)]
@@ -124,7 +165,16 @@ struct Lifecycle {
 
 pub(crate) struct Shared {
     pub(crate) cfg: ServeConfig,
-    pub(crate) obs: ServeObs,
+    /// Metrics and request-path spans, shared by every reactor, the
+    /// dispatcher and the worker pool.
+    pub(crate) obs: Obs,
+    /// Zero of the trace clock (µs since start).
+    started: Instant,
+    queue_depth_gauge: GaugeId,
+    conns_open_gauge: GaugeId,
+    queue_wait_hist: HistogramId,
+    service_hist: HistogramId,
+    latency_hist: HistogramId,
     queue: JobQueue,
     dedup: Mutex<HashMap<String, InFlight>>,
     shutdown_waiters: Mutex<Vec<Waiter>>,
@@ -161,12 +211,17 @@ impl Shared {
 
     pub(crate) fn conn_opened(&self) {
         let n = self.conns_open.fetch_add(1, Ordering::Relaxed) + 1;
-        self.obs.set_gauge("serve.conns.open", n as f64);
+        self.obs.set_gauge(self.conns_open_gauge, n as f64);
     }
 
     pub(crate) fn conn_closed(&self) {
         let n = self.conns_open.fetch_sub(1, Ordering::Relaxed) - 1;
-        self.obs.set_gauge("serve.conns.open", n as f64);
+        self.obs.set_gauge(self.conns_open_gauge, n as f64);
+    }
+
+    /// Microseconds since the server started — the trace clock.
+    fn now_us(&self) -> u64 {
+        u64::try_from(self.started.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 
     fn route_reply(&self, reactor: usize, token: ConnToken, bytes: Vec<u8>, close_after: bool) {
@@ -349,9 +404,10 @@ impl ServerHandle {
         self.shared.addr
     }
 
-    /// The server's observability surface.
+    /// The server's telemetry: every `serve.*` metric and the
+    /// request-path spans.
     #[must_use]
-    pub fn obs(&self) -> &ServeObs {
+    pub fn obs(&self) -> &Obs {
         &self.shared.obs
     }
 
@@ -424,9 +480,24 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         links.push(ReactorLink::new(tx));
         wake_rxs.push(rx);
     }
+    let obs = Obs::new(ObsConfig::enabled());
+    for name in COUNTERS {
+        obs.bump(name, 0);
+    }
+    let gauge = |name| obs.gauge(name).expect("metrics enabled");
+    let hist = |name| {
+        obs.histogram(name, HIST_BINS, HIST_BIN_WIDTH_US)
+            .expect("metrics enabled")
+    };
     let shared = Arc::new(Shared {
         queue: JobQueue::new(cfg.queue_capacity),
-        obs: ServeObs::new(),
+        started: Instant::now(),
+        queue_depth_gauge: gauge("serve.queue.depth"),
+        conns_open_gauge: gauge("serve.conns.open"),
+        queue_wait_hist: hist("serve.queue.wait_us"),
+        service_hist: hist("serve.job.service_us"),
+        latency_hist: hist("serve.request.latency_us"),
+        obs,
         dedup: Mutex::new(HashMap::new()),
         shutdown_waiters: Mutex::new(Vec::new()),
         draining: AtomicBool::new(false),
@@ -523,12 +594,12 @@ pub(crate) fn handle_wire_request(
 }
 
 fn handle_line(shared: &Arc<Shared>, reactor_id: usize, conn: &mut Conn, line: &str, now: Instant) {
-    let received_us = shared.obs.now_us();
-    shared.obs.inc("serve.requests.received");
+    let received_us = shared.now_us();
+    shared.obs.bump("serve.requests.received", 1);
     let parsed = match json::parse(line) {
         Ok(v) => v,
         Err(e) => {
-            shared.obs.inc("serve.responses.invalid");
+            shared.obs.bump("serve.responses.invalid", 1);
             let reply = render_error(None, &JobError::Invalid(format!("bad json: {e}")));
             conn.respond(reply.as_bytes(), now);
             return;
@@ -600,7 +671,7 @@ fn handle_line(shared: &Arc<Shared>, reactor_id: usize, conn: &mut Conn, line: &
             }
         }
         other => {
-            shared.obs.inc("serve.responses.invalid");
+            shared.obs.bump("serve.responses.invalid", 1);
             let reply = render_error(
                 id.as_deref(),
                 &JobError::Invalid(format!("unknown op {other:?}")),
@@ -617,8 +688,8 @@ fn handle_binary(
     req: Request,
     now: Instant,
 ) {
-    let received_us = shared.obs.now_us();
-    shared.obs.inc("serve.requests.received");
+    let received_us = shared.now_us();
+    shared.obs.bump("serve.requests.received", 1);
     match req {
         Request::Ping { corr } => {
             let frame = Response::Pong {
@@ -696,7 +767,7 @@ fn admit_run(
     if let Some(cache) = &shared.cache {
         if let Some(bytes) = cache.load_bytes(&key) {
             if let Ok(outcome) = JobOutcome::from_snapshot_bytes(&bytes) {
-                shared.obs.inc("serve.cache.hits");
+                shared.obs.bump("serve.cache.hits", 1);
                 return Admission::Immediate(Resolution::Done {
                     outcome,
                     envelope: Arc::new(bytes),
@@ -712,7 +783,7 @@ fn admit_run(
         match dedup.get_mut(&key) {
             Some(inflight) => {
                 inflight.waiters.push(waiter);
-                shared.obs.inc("serve.dedup.coalesced");
+                shared.obs.bump("serve.dedup.coalesced", 1);
             }
             None => {
                 dedup.insert(
@@ -741,14 +812,14 @@ fn admit_run(
                 PushError::Full => "queue full",
                 PushError::Closed => "draining",
             };
-            shared.obs.inc("serve.queue.rejected");
+            shared.obs.bump("serve.queue.rejected", 1);
             // Resolves the waiter registered just above, through the
             // reactor inbox like any other completion.
             shared.complete(&key, &Resolution::Failed(JobError::Rejected(reason.into())));
         } else {
             shared
                 .obs
-                .set_gauge("serve.queue.depth", shared.queue.depth() as f64);
+                .set_gauge(shared.queue_depth_gauge, shared.queue.depth() as f64);
         }
     }
     Admission::Pending
@@ -758,22 +829,24 @@ fn dispatch_loop(shared: &Arc<Shared>) {
     while let Some(batch) = shared.queue.pop_batch(shared.cfg.batch_max) {
         shared
             .obs
-            .set_gauge("serve.queue.depth", shared.queue.depth() as f64);
+            .set_gauge(shared.queue_depth_gauge, shared.queue.depth() as f64);
         let now = Instant::now();
-        let now_us = shared.obs.now_us();
+        let now_us = shared.now_us();
         let mut live: Vec<JobTicket> = Vec::with_capacity(batch.len());
         for ticket in batch {
             let waited_us =
                 u64::try_from(ticket.enqueued_at.elapsed().as_micros()).unwrap_or(u64::MAX);
-            shared.obs.observe_us("serve.queue.wait_us", waited_us);
-            shared.obs.span(
+            shared.obs.record(shared.queue_wait_hist, waited_us);
+            record_span(
+                &shared.obs,
+                TRACE_CAP,
                 ticket.seq,
                 "queue",
                 now_us.saturating_sub(waited_us),
                 now_us,
             );
             if ticket.deadline.is_some_and(|d| d <= now) {
-                shared.obs.inc("serve.jobs.expired");
+                shared.obs.bump("serve.jobs.expired", 1);
                 shared.complete(&ticket.key, &Resolution::Failed(JobError::Expired));
             } else {
                 live.push(ticket);
@@ -852,12 +925,14 @@ fn finish_ticket(
     result: &Result<JobOutcome, JobError>,
     service_us: u64,
 ) {
-    let end_us = shared.obs.now_us();
+    let end_us = shared.now_us();
     let res = match result {
         Ok(outcome) => {
-            shared.obs.inc("serve.jobs.executed");
-            shared.obs.observe_us("serve.job.service_us", service_us);
-            shared.obs.span(
+            shared.obs.bump("serve.jobs.executed", 1);
+            shared.obs.record(shared.service_hist, service_us);
+            record_span(
+                &shared.obs,
+                TRACE_CAP,
                 ticket.seq,
                 "execute",
                 end_us.saturating_sub(service_us),
@@ -868,7 +943,7 @@ fn finish_ticket(
             let envelope = Arc::new(outcome.to_snapshot_bytes());
             if let Some(cache) = &shared.cache {
                 if cache.store_bytes(&ticket.key, &envelope).is_ok() {
-                    shared.obs.inc("serve.cache.stores");
+                    shared.obs.bump("serve.cache.stores", 1);
                 }
             }
             Resolution::Done {
@@ -878,12 +953,29 @@ fn finish_ticket(
             }
         }
         Err(JobError::Expired) => {
-            shared.obs.inc("serve.jobs.expired");
+            shared.obs.bump("serve.jobs.expired", 1);
             Resolution::Failed(JobError::Expired)
         }
         Err(e) => Resolution::Failed(e.clone()),
     };
     shared.complete(&ticket.key, &res);
+}
+
+/// Records one completed span pair on the request-path track `tid`,
+/// with explicit µs timestamps, or counts it in `serve.trace.dropped`
+/// once the trace holds `cap` events. The pair goes in under one lock,
+/// so the trace only ever holds whole spans; the end is clamped so a
+/// span never inverts under clock jitter.
+fn record_span(obs: &Obs, cap: usize, tid: u64, name: &'static str, begin_us: u64, end_us: u64) {
+    obs.with_mut(|inner| {
+        if inner.trace.len() + 2 <= cap {
+            inner.trace.begin(TRACE_PID, tid, name, begin_us);
+            inner.trace.end(TRACE_PID, tid, name, end_us.max(begin_us));
+        } else {
+            let dropped = inner.metrics.counter("serve.trace.dropped");
+            inner.metrics.inc(dropped);
+        }
+    });
 }
 
 fn num(f: f64) -> String {
@@ -900,16 +992,14 @@ fn render_resolution_json(
     shared: &Shared,
     received_us: u64,
 ) -> String {
-    let latency_us = shared.obs.now_us().saturating_sub(received_us);
-    shared
-        .obs
-        .observe_us("serve.request.latency_us", latency_us);
+    let latency_us = shared.now_us().saturating_sub(received_us);
+    shared.obs.record(shared.latency_hist, latency_us);
     match res {
         Resolution::Done {
             outcome, cached, ..
         } => {
             let status = if outcome.degraded { "degraded" } else { "ok" };
-            shared.obs.inc(&format!("serve.responses.{status}"));
+            shared.obs.bump(&format!("serve.responses.{status}"), 1);
             let id_field = id.map_or(String::new(), |i| format!("\"id\":\"{}\",", escape_json(i)));
             format!(
                 "{{{id_field}\"status\":\"{status}\",\"cached\":{cached},\
@@ -925,7 +1015,9 @@ fn render_resolution_json(
             )
         }
         Resolution::Failed(err) => {
-            shared.obs.inc(&format!("serve.responses.{}", err.status()));
+            shared
+                .obs
+                .bump(&format!("serve.responses.{}", err.status()), 1);
             render_error(id, err)
         }
     }
@@ -937,10 +1029,8 @@ fn render_resolution_binary(
     shared: &Shared,
     received_us: u64,
 ) -> Vec<u8> {
-    let latency_us = shared.obs.now_us().saturating_sub(received_us);
-    shared
-        .obs
-        .observe_us("serve.request.latency_us", latency_us);
+    let latency_us = shared.now_us().saturating_sub(received_us);
+    shared.obs.record(shared.latency_hist, latency_us);
     match res {
         Resolution::Done {
             outcome,
@@ -948,7 +1038,7 @@ fn render_resolution_binary(
             cached,
         } => {
             let status = if outcome.degraded { "degraded" } else { "ok" };
-            shared.obs.inc(&format!("serve.responses.{status}"));
+            shared.obs.bump(&format!("serve.responses.{status}"), 1);
             Response::Outcome {
                 corr,
                 cached: *cached,
@@ -957,7 +1047,9 @@ fn render_resolution_binary(
             .encode()
         }
         Resolution::Failed(err) => {
-            shared.obs.inc(&format!("serve.responses.{}", err.status()));
+            shared
+                .obs
+                .bump(&format!("serve.responses.{}", err.status()), 1);
             Response::Error {
                 corr,
                 status: ErrStatus::from_job_error(err),
@@ -975,4 +1067,80 @@ fn render_error(id: Option<&str>, err: &JobError) -> String {
         err.status(),
         escape_json(&err.reason())
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cedar_obs::export::{parse_prometheus, sanitize_name, validate_json};
+
+    fn series(obs: &Obs, name: &str) -> Option<f64> {
+        parse_prometheus(&obs.prometheus())
+            .unwrap()
+            .get(&sanitize_name(name))
+            .copied()
+    }
+
+    #[test]
+    fn preinterned_metrics_export_as_zeros_and_round_trip() {
+        let handle = start(ServeConfig::default()).unwrap();
+        let obs = handle.obs();
+        for name in COUNTERS
+            .iter()
+            .chain(&["serve.queue.depth", "serve.conns.open"])
+        {
+            assert_eq!(series(obs, name), Some(0.0), "{name}");
+        }
+        let latency = sanitize_name("serve.request.latency_us");
+        let text = obs.prometheus();
+        assert!(
+            text.contains(&format!("{latency}_bucket{{le=\"500\"}} 0")),
+            "{text}"
+        );
+        assert!(
+            text.contains(&format!("{latency}_bucket{{le=\"32000\"}} 0")),
+            "{text}"
+        );
+
+        obs.bump("serve.dedup.coalesced", 3);
+        obs.record(handle.shared.latency_hist, 1_250);
+        obs.set_gauge(handle.shared.queue_depth_gauge, 2.0);
+        assert_eq!(series(obs, "serve.dedup.coalesced"), Some(3.0));
+        assert_eq!(series(obs, "serve.queue.depth"), Some(2.0));
+        let buckets = parse_prometheus(&obs.prometheus()).unwrap();
+        assert_eq!(buckets[&format!("{latency}_bucket{{le=\"1000\"}}")], 0.0);
+        assert_eq!(buckets[&format!("{latency}_bucket{{le=\"1500\"}}")], 1.0);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn spans_are_valid_and_never_invert() {
+        let obs = Obs::new(ObsConfig::enabled());
+        record_span(&obs, TRACE_CAP, 7, "queue", 10, 40);
+        record_span(&obs, TRACE_CAP, 7, "execute", 40, 90);
+        // Clock jitter: an end before its begin is clamped, not kept.
+        record_span(&obs, TRACE_CAP, 1, "x", 50, 20);
+        obs.validate_trace().unwrap();
+        let json = obs.chrome_trace();
+        validate_json(&json).unwrap();
+        assert!(json.contains("\"queue\"") && json.contains("\"execute\""));
+        assert!(
+            json.contains("\"ph\":\"E\",\"ts\":50,\"pid\":1,\"tid\":1"),
+            "{json}"
+        );
+    }
+
+    #[test]
+    fn trace_stops_at_the_cap_and_counts_whole_dropped_spans() {
+        let obs = Obs::new(ObsConfig::enabled());
+        // A cap of 5 events holds two whole pairs; the odd slot left
+        // over never takes half a span.
+        for tid in 0..4 {
+            record_span(&obs, 5, tid, "execute", tid * 10, tid * 10 + 5);
+        }
+        assert_eq!(obs.with(|inner| inner.trace.len()), Some(4));
+        assert_eq!(obs.counter_value("serve.trace.dropped"), 2);
+        obs.validate_trace().unwrap();
+        validate_json(&obs.chrome_trace()).unwrap();
+    }
 }

@@ -28,6 +28,7 @@ use std::time::{Duration, Instant};
 
 use cedar_serve::config::ServeConfig;
 use cedar_serve::job::{JobOutcome, JobSpec};
+use cedar_serve::json::MAX_LEN;
 use cedar_serve::loadgen::{BinClient, Client};
 use cedar_serve::proto::{
     decode_frame, ErrStatus, FrameScanner, ProtoError, Request, Response, MAX_REQUEST_PAYLOAD,
@@ -375,6 +376,46 @@ fn pipelined_requests_on_one_connection_all_complete() {
     assert_eq!(handle.obs().counter_value("serve.jobs.executed"), DEPTH);
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&cache);
+}
+
+#[test]
+fn overlong_text_requests_get_a_typed_reply_then_close() {
+    let (handle, addr) = start_on_any_port(ServeConfig::default());
+    // A line-JSON request one byte past the bound, newline never sent:
+    // the server answers without waiting for one, then closes.
+    let mut s = TcpStream::connect(&addr).unwrap();
+    s.write_all(&vec![b'x'; MAX_LEN + 1]).unwrap();
+    let mut reply = String::new();
+    s.read_to_string(&mut reply).unwrap();
+    assert_eq!(
+        reply,
+        format!("{{\"status\":\"invalid\",\"reason\":\"request line exceeds {MAX_LEN} bytes\"}}\n")
+    );
+    cedar_serve::json::parse(reply.trim()).unwrap();
+    assert_eq!(handle.obs().counter_value("serve.responses.invalid"), 1);
+
+    // An HTTP header block that never ends: 431, then close.
+    let mut h = TcpStream::connect(&addr).unwrap();
+    let mut block = b"GET /metrics HTTP/1.1\r\n".to_vec();
+    while block.len() <= MAX_LEN {
+        block.extend_from_slice(b"X-Pad: 0123456789abcdef\r\n");
+    }
+    h.write_all(&block).unwrap();
+    let mut reply = String::new();
+    h.read_to_string(&mut reply).unwrap();
+    assert!(reply.starts_with("HTTP/1.1 431 "), "{reply}");
+
+    // Neither rejection disturbs anyone else.
+    let mut c = TcpStream::connect(&addr).unwrap();
+    c.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    let mut pong = String::new();
+    std::io::BufRead::read_line(&mut std::io::BufReader::new(&mut c), &mut pong).unwrap();
+    assert_eq!(
+        pong,
+        "{\"status\":\"ok\",\"op\":\"ping\",\"draining\":false}\n"
+    );
+    assert_eq!(handle.obs().counter_value("serve.proto.corrupt"), 2);
+    handle.shutdown();
 }
 
 /// Waits until `counter` reaches `want` or the deadline passes.
